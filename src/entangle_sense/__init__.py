@@ -2,7 +2,7 @@
 magnetometry with an optically read sensor spin and an environmental
 ancilla spin."""
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 from .spinsys import (  # noqa: F401
     CONSTANTS,
@@ -12,7 +12,6 @@ from .spinsys import (  # noqa: F401
     bell_coherence,
     build_operator,
     layout,
-    partial_trace,
     polarized_state,
     pure_state,
 )
@@ -29,13 +28,11 @@ from .dynamics import (  # noqa: F401
 from .protocols import (  # noqa: F401
     GateParams,
     NuclearFactor,
-    PulseSequence,
     calibrate_gate_error,
     polarization_transfer,
     prepare_entangled,
-    repetitive_readout,
 )
-from .readout import ReadoutModel, combined_snr, optimal_weights, snr_gain  # noqa: F401
+from .readout import snr_gain  # noqa: F401
 from .analysis import (  # noqa: F401
     FitResult,
     MagnetometryCurve,

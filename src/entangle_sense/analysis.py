@@ -15,15 +15,14 @@ amplitude-slope ratio, bounded by 2.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .dynamics import DecoherenceEnvelope
 from .protocols import NuclearFactor
-from .readout import snr_gain
+from .readout import geometric_ratio_for_gain, snr_gain
 from .spinsys import CONSTANTS
 
 F_HAT_ECHO = 2.0 / np.pi
@@ -107,19 +106,6 @@ class SensitivityReport:
     repetitions: int
     assumptions: dict
 
-    def to_json(self) -> str:
-        payload = {
-            "delta_b_gauss": self.delta_b_gauss,
-            "eta_gauss_sqrt_s": self.eta_gauss_rthz,
-            "gain_performance": self.g,
-            "overhead_factor": self.h,
-            "gain_sensitivity": self.g_tilde,
-            "snr_gain": self.snr_gain,
-            "repetitions": self.repetitions,
-            "assumptions": self.assumptions,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
-
 
 @dataclass(frozen=True)
 class SweepGrid:
@@ -144,15 +130,6 @@ class SweepGrid:
         i = int(np.argmin(np.abs(self.ratio_axis - ratio)))
         j = int(np.argmin(np.abs(self.d_axis_hz - d_hz)))
         return float(self.values[i, j])
-
-    def to_json(self) -> str:
-        payload = {
-            "d_axis_hz": self.d_axis_hz.tolist(),
-            "ratio_axis": self.ratio_axis.tolist(),
-            "max_gain_sensitivity": self.values.tolist(),
-            "fixed_inputs": self.fixed_inputs,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +509,6 @@ def sweep_gain_map(
     tau_phi_exp_s: float = 21.0e-6,
     d_exp_hz: float = 58.0e3,
     tau_rr_s: float = 6.1e-6,
-    ladder_ratio: float | None = None,
     m_max: int = 30,
     tau_points: int = 600,
 ) -> SweepGrid:
@@ -540,15 +516,21 @@ def sweep_gain_map(
 
     The two-spin preparation time scales inversely with the coupling; the
     two-spin decoherence rate is additive, Gamma2 = Gamma2_NV * (1 +
-    ratio); nuclear polarization q = 1 throughout.  The repetitive-
-    readout ladder is geometric with the given decay ratio.
-    """
-    from .readout import geometric_ratio_for_gain
+    ratio); nuclear polarization q = 1 throughout.
 
+    The repetitive-readout ladder is one of three readout-ladder models,
+    each chosen for what its figure needs:
+
+    - fig4b uses the digitised per-readout amplitudes (``FIG4B_LADDER``);
+    - fig2d uses a stretched ladder fitted to both measured working
+      points, amplitude sum 4.2 and SNR gain 1.91 at m = 9;
+    - this sweep (fig4c) needs a closed form out to ``m_max`` = 30, past
+      the measured readouts, so it uses the one-parameter geometric
+      ladder a_k = r**k with r matched to the gain 1.91 at m = 9.
+    """
     d_axis = np.asarray(d_axis_hz, dtype=float)
     ratios = np.asarray(ratio_axis, dtype=float)
-    if ladder_ratio is None:
-        ladder_ratio = geometric_ratio_for_gain(1.91, 9)
+    ladder_ratio = geometric_ratio_for_gain(1.91, 9)
     ladder = ladder_ratio ** np.arange(m_max + 1)
     tau_grid = np.geomspace(1e-6, 5.0 / gamma2_nv_hz, tau_points)
     values = np.empty((len(ratios), len(d_axis)))
@@ -637,13 +619,3 @@ def write_curve_csv(path: str, columns: Mapping[str, Sequence[float]]) -> None:
         writer.writerow(names)
         for row in zip(*arrays):
             writer.writerow([f"{v:.12g}" for v in row])
-
-
-def write_grid_csv(path: str, grid: SweepGrid) -> None:
-    """One row per (coupling, ratio) cell."""
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["d[Hz]", "gamma2_ratio[1]", "max_gain_sensitivity[1]"])
-        for i, ratio in enumerate(grid.ratio_axis):
-            for j, d in enumerate(grid.d_axis_hz):
-                writer.writerow([f"{d:.12g}", f"{ratio:.12g}", f"{grid.values[i, j]:.12g}"])

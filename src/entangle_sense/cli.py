@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import write_curve_csv
-from .config import ConfigError, SCENARIOS, resolve, validate
+from .config import MISSING_SCENARIO, SCENARIOS, ConfigError, resolve
 from .scenarios import SCENARIO_RUNNERS
 
 EXIT_OK = 0
@@ -117,27 +117,12 @@ def _validate(args: argparse.Namespace) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        print(
-            f"error: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-    if not isinstance(data, dict):
-        print("error: top level must be a JSON object", file=sys.stderr)
-        return EXIT_CONFIG
-
-    from .config import DEFAULTS, _merge
-
-    diagnostics: list[str] = []
-    merged = _merge(DEFAULTS, data, "", diagnostics)
-    if "scenario" in data or merged.get("scenario") is not None:
-        diagnostics.extend(validate(merged))
-    else:
-        diagnostics.extend(d for d in validate(merged) if not d.startswith("scenario"))
-    # a config that nulls out a required parameter must name it
-    if len(diagnostics) == 0:
+        resolve(config_text=text)
+        diagnostics = []
+    except ConfigError as exc:
+        # a config file may leave the scenario to `run --scenario`
+        diagnostics = [d for d in exc.diagnostics if d != MISSING_SCENARIO]
+    if not diagnostics:
         print("config is valid")
         return EXIT_OK
     for diag in diagnostics:

@@ -87,8 +87,18 @@ DEFAULTS: dict[str, Any] = {
 }
 
 
+MISSING_SCENARIO = "scenario: required parameter is missing"
+
+
 class ConfigError(ValueError):
-    """Raised when a config document cannot be parsed or merged."""
+    """Raised when a config cannot be parsed, merged or validated.
+
+    ``diagnostics`` holds one dotted-path message per problem.
+    """
+
+    def __init__(self, diagnostics: list[str]) -> None:
+        super().__init__("; ".join(diagnostics))
+        self.diagnostics = diagnostics
 
 
 @dataclass(frozen=True)
@@ -102,9 +112,6 @@ class ScenarioConfig:
         for part in path.split("."):
             node = node[part]
         return node
-
-    def to_json(self) -> str:
-        return json.dumps(self.data, sort_keys=True, indent=2)
 
     def content_hash(self) -> str:
         canonical = json.dumps(self.data, sort_keys=True, separators=(",", ":"))
@@ -152,7 +159,7 @@ def validate(data: dict[str, Any]) -> list[str]:
     diagnostics: list[str] = []
     scenario = data.get("scenario")
     if scenario is None:
-        diagnostics.append("scenario: required parameter is missing")
+        diagnostics.append(MISSING_SCENARIO)
     elif scenario not in SCENARIOS:
         diagnostics.append(f"scenario: unknown scenario {scenario!r}; choose from {', '.join(SCENARIOS)}")
     _check_number(data, "coupling.d_hz", 1.0, 1.0e9, diagnostics)
@@ -199,9 +206,9 @@ def resolve(
         try:
             override = json.loads(config_text)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+            raise ConfigError([f"config: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"])
         if not isinstance(override, dict):
-            raise ConfigError("config: top level must be a JSON object")
+            raise ConfigError(["config: top level must be a JSON object"])
         data = _merge(DEFAULTS, override, "", diagnostics)
     else:
         data = copy.deepcopy(DEFAULTS)
@@ -213,5 +220,5 @@ def resolve(
         data["run"]["trajectories"] = trajectories
     diagnostics.extend(validate(data))
     if diagnostics:
-        raise ConfigError("; ".join(diagnostics))
+        raise ConfigError(diagnostics)
     return ScenarioConfig(data=data)

@@ -1,9 +1,11 @@
 """Time evolution: unitary propagation, dissipative channels, decoherence envelopes.
 
 Everything is expressed in the doubly rotating frame of the microwave
-carriers (rotating-wave approximation): drive terms are static, the
-dipolar coupling enters through its secular ZZ part, and a time-varying
-magnetic field appears as a common Sz term on the electronic spins.
+carriers (rotating-wave approximation): drive terms are static and the
+dipolar coupling enters through its secular ZZ part, so every
+Hamiltonian is time-independent.  Field noise enters only in the Monte
+Carlo propagator, as a fluctuating common Sz term on the electronic
+spins.
 
 Coupling convention: the exchange rate d (Hz) is defined as the observed
 dressed-frame flip-flop rate, so the assembled ZZ coefficient is
@@ -13,8 +15,8 @@ which puts the full population transfer at t = 1/(2*d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -28,7 +30,9 @@ from .spinsys import (
 )
 
 HAMILTONIAN_HERMITICITY_TOL = 1e-12
-FIELD_SUBSTEPS_PER_PERIOD = 200
+
+# basis indices of the two exchange subspaces of the (NV, Xe) pair
+EXCHANGE_BLOCKS = {"zq": (1, 2), "dq": (0, 3)}  # |01>, |10> and |00>, |11>
 
 
 @dataclass(frozen=True)
@@ -45,15 +49,6 @@ class FieldModel:
             raise ValueError("field frequency must be >= 0")
         if self.kind not in ("sinusoid", "constant"):
             raise ValueError(f"unknown field kind {self.kind!r}")
-
-    def value(self, t: float | np.ndarray) -> float | np.ndarray:
-        if self.kind == "constant":
-            return self.amplitude_gauss * np.ones_like(np.asarray(t, dtype=float))
-        return self.amplitude_gauss * np.sin(2.0 * np.pi * self.frequency_hz * np.asarray(t) + self.phase_rad)
-
-    @property
-    def is_static(self) -> bool:
-        return self.kind == "constant" or self.frequency_hz == 0.0 or self.amplitude_gauss == 0.0
 
 
 @dataclass(frozen=True)
@@ -72,12 +67,11 @@ class DriveTerm:
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Piecewise-constant rotating-frame Hamiltonian for a spin layout."""
+    """Time-independent rotating-frame Hamiltonian for a spin layout."""
 
     layout: SpinLayout
     drives: Mapping[str, DriveTerm] = field(default_factory=dict)
     coupling_hz: float = 0.0  # dressed-frame exchange rate d, between NV and Xe
-    field: FieldModel | None = None
     constants: PhysicalConstants = CONSTANTS
 
     def __post_init__(self) -> None:
@@ -93,8 +87,8 @@ class HamiltonianSpec:
         spec[label] = symbol
         return build_operator(self.layout, spec).matrix
 
-    def assemble(self, t: float = 0.0) -> np.ndarray:
-        """Hamiltonian matrix (rad/s) at time t."""
+    def assemble(self) -> np.ndarray:
+        """Hamiltonian matrix (rad/s)."""
         h = np.zeros((self.layout.dim, self.layout.dim), dtype=complex)
         for label, drv in self.drives.items():
             h += drv.rabi * (
@@ -108,22 +102,10 @@ class HamiltonianSpec:
             spec["Xe"] = "Sz"
             zz = build_operator(self.layout, spec).matrix
             h += 2.0 * np.pi * (2.0 * self.coupling_hz) * zz
-        if self.field is not None:
-            b = float(np.asarray(self.field.value(t)))
-            sz_sum = sum(
-                self._single(lbl, "Sz")
-                for lbl in self.layout.subsystems
-                if lbl in ("NV", "Xe")
-            )
-            h += self.constants.gamma_e * b * sz_sum
         dev = np.max(np.abs(h - h.conj().T))
         if dev > HAMILTONIAN_HERMITICITY_TOL:
             raise ValueError(f"assembled Hamiltonian deviates from Hermitian by {dev:.3e}")
         return h
-
-    @property
-    def time_dependent(self) -> bool:
-        return self.field is not None and not self.field.is_static
 
 
 @dataclass(frozen=True)
@@ -199,29 +181,14 @@ def _evolve(mat: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def propagate(state: DensityState, ham: HamiltonianSpec, t: float) -> DensityState:
-    """Unitary evolution rho -> U rho U+ with U = exp(-i H t).
-
-    Time-dependent field terms are handled by piecewise-constant
-    sub-stepping with at least FIELD_SUBSTEPS_PER_PERIOD steps per field
-    period (midpoint sampling).
-    """
+    """Unitary evolution rho -> U rho U+ with U = exp(-i H t)."""
     if t < 0:
         raise ValueError("propagation time must be >= 0")
     if ham.layout != state.layout:
         raise LayoutError("Hamiltonian layout does not match state layout")
     if t == 0.0:
         return state
-    mat = state.matrix
-    if not ham.time_dependent:
-        u = expm_hermitian(ham.assemble(0.0), t)
-        mat = _evolve(mat, u)
-    else:
-        period = 1.0 / ham.field.frequency_hz
-        n_steps = max(1, int(np.ceil(t / period * FIELD_SUBSTEPS_PER_PERIOD)))
-        dt = t / n_steps
-        for k in range(n_steps):
-            u = expm_hermitian(ham.assemble((k + 0.5) * dt), dt)
-            mat = _evolve(mat, u)
+    mat = _evolve(state.matrix, expm_hermitian(ham.assemble(), t))
     return DensityState(layout=state.layout, matrix=mat)
 
 
@@ -248,17 +215,6 @@ def optical_pump(state: DensityState, efficiency: float) -> DensityState:
     lifted = [lift(k) for k in kraus]
     out = sum(_evolve(state.matrix, k) for k in lifted)
     return DensityState(layout=lay, matrix=out)
-
-
-def pump_kraus_identity_deviation(efficiency: float) -> float:
-    """Max deviation of sum K+K from identity for the pump channel (should be ~0)."""
-    k0 = np.sqrt(1.0 - efficiency) * np.eye(2, dtype=complex)
-    k1 = np.zeros((2, 2), dtype=complex)
-    k1[0, 0] = np.sqrt(efficiency)
-    k2 = np.zeros((2, 2), dtype=complex)
-    k2[0, 1] = np.sqrt(efficiency)
-    total = sum(k.conj().T @ k for k in (k0, k1, k2))
-    return float(np.max(np.abs(total - np.eye(2))))
 
 
 def _coherence_mask(lay: SpinLayout, basis: str, factor: float) -> np.ndarray:
@@ -300,18 +256,6 @@ def apply_envelope(state: DensityState, env: DecoherenceEnvelope, basis: str, t:
     return DensityState(layout=state.layout, matrix=state.matrix * mask)
 
 
-def _block_indices(lay: SpinLayout, block: str) -> tuple[int, int]:
-    """Basis indices of the exchange subspace on (NV, Xe)."""
-    if lay.n_spins != 2 or set(lay.subsystems) != {"NV", "Xe"}:
-        raise LayoutError("exchange blocks are defined on the (NV, Xe) pair")
-    nv_first = lay.subsystems[0] == "NV"
-    if block == "zq":  # |01>, |10>
-        return (1, 2) if nv_first else (2, 1)
-    if block == "dq":  # |00>, |11>
-        return (0, 3)
-    raise ValueError(f"unknown exchange block {block!r}")
-
-
 def driven_decay(state: DensityState, model: DrivenDecayModel, t: float, block: str = "zq") -> DensityState:
     """Damp exchange-oscillation contrast within one exchange subspace.
 
@@ -321,8 +265,12 @@ def driven_decay(state: DensityState, model: DrivenDecayModel, t: float, block: 
     """
     if t < 0:
         raise ValueError("duration must be >= 0")
+    if state.layout.subsystems != ("NV", "Xe"):
+        raise LayoutError("exchange blocks are defined on the (NV, Xe) pair")
+    if block not in EXCHANGE_BLOCKS:
+        raise ValueError(f"unknown exchange block {block!r}")
     f = model.contrast(t)
-    i, j = _block_indices(state.layout, block)
+    i, j = EXCHANGE_BLOCKS[block]
     dim = state.layout.dim
     p = np.zeros((dim, dim))
     p[i, i] = p[j, j] = 1.0
@@ -372,10 +320,8 @@ def monte_carlo_propagate(
     if noise.sigma_b_gauss == 0.0:
         return propagate(state, ham, t)
     n_steps = max(10, int(np.ceil(t / (noise.tau_c_s / 10.0))))
-    if ham.time_dependent:
-        period = 1.0 / ham.field.frequency_hz
-        n_steps = max(n_steps, int(np.ceil(t / period * FIELD_SUBSTEPS_PER_PERIOD)))
     dt = t / n_steps
+    h0 = ham.assemble()
     sz_sum = ham._single("NV", "Sz") if "NV" in ham.layout else 0.0
     if "Xe" in ham.layout:
         sz_sum = sz_sum + ham._single("Xe", "Sz")
@@ -385,7 +331,7 @@ def monte_carlo_propagate(
         path = ou_trajectory(noise, n_steps, dt, rng)
         mat = state.matrix
         for k in range(n_steps):
-            h = ham.assemble((k + 0.5) * dt) + ham.constants.gamma_e * path[k] * sz_sum
+            h = h0 + ham.constants.gamma_e * path[k] * sz_sum
             mat = _evolve(mat, expm_hermitian(h, dt))
         acc = acc + mat
     return DensityState(layout=state.layout, matrix=acc / noise.trajectories)

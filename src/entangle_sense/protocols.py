@@ -1,4 +1,8 @@
-"""Pulse-sequence IR, gate library, and sequence executor.
+"""Exchange gates and the named protocol steps built from them.
+
+The steps are polarization transfer, entangling and disentangling, the
+phase-modulated disentangling scan, echo sensing of a field, and
+gate-error calibration.
 
 Gates derived from the cross-polarization sequence are applied as their
 dressed-frame effective unitaries expressed in the computational basis:
@@ -16,10 +20,9 @@ over the drive duration.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import integrate
@@ -28,13 +31,12 @@ from .spinsys import (
     CONSTANTS,
     DensityState,
     LayoutError,
-    SpinLayout,
     build_operator,
     layout,
     polarized_state,
-    pure_state,
 )
 from .dynamics import (
+    EXCHANGE_BLOCKS,
     DecoherenceEnvelope,
     DriveTerm,
     DrivenDecayModel,
@@ -44,17 +46,10 @@ from .dynamics import (
     driven_decay,
     expm_hermitian,
     optical_pump,
-    propagate,
 )
 
 TWO_SPIN_LAYOUT = layout("NV", "Xe")
 
-ZQ_BLOCK = (1, 2)  # |01>, |10> on (NV, Xe)
-DQ_BLOCK = (0, 3)  # |00>, |11>
-
-
-class SequenceError(ValueError):
-    """Raised for malformed pulse sequences."""
 
 
 # ---------------------------------------------------------------------------
@@ -107,149 +102,15 @@ class NuclearFactor:
         return q + (1.0 - q) / 2.0
 
 
-@dataclass(frozen=True)
-class MicrowaveDrive:
-    targets: tuple[str, ...]
-    rabi: float  # rad/s, matched magnitude on every target
-    phases: tuple[float, ...]
-    duration: float
-    phase_mod_hz: tuple[float, ...] | None = None  # linear phase ramp per target
-
-    kind = "microwave_drive"
-
-
-@dataclass(frozen=True)
-class LaserPulse:
-    duration: float
-    efficiency: float
-
-    kind = "laser_pulse"
-
-
-@dataclass(frozen=True)
-class Delay:
-    duration: float
-
-    kind = "delay"
-
-
-@dataclass(frozen=True)
-class SensingWindow:
-    duration: float
-    field: FieldModel
-    targets: tuple[str, ...]
-    pi_fractions: tuple[float, ...] = (0.5,)
-
-    kind = "sensing_window"
-
-
-Segment = MicrowaveDrive | LaserPulse | Delay | SensingWindow
-
-
-@dataclass(frozen=True)
-class PulseSequence:
-    """Ordered, timed protocol segments."""
-
-    segments: tuple[Segment, ...]
-
-    def __post_init__(self) -> None:
-        for seg in self.segments:
-            if seg.duration < 0:
-                raise SequenceError("segment durations must be >= 0")
-            if isinstance(seg, MicrowaveDrive):
-                if len(seg.targets) != len(seg.phases):
-                    raise SequenceError("one phase per drive target required")
-                if seg.phase_mod_hz is not None and len(seg.phase_mod_hz) != len(seg.targets):
-                    raise SequenceError("one modulation frequency per target required")
-                if not all(np.isfinite(seg.phases)):
-                    raise SequenceError("phase ramps must be finite")
-
-    @property
-    def total_duration(self) -> float:
-        return float(sum(seg.duration for seg in self.segments))
-
-    def to_json(self) -> str:
-        return json.dumps([_segment_to_dict(s) for s in self.segments], indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PulseSequence":
-        return cls(segments=tuple(_segment_from_dict(d) for d in json.loads(text)))
-
-
-def _segment_to_dict(seg: Segment) -> dict:
-    if isinstance(seg, MicrowaveDrive):
-        out = {
-            "type": seg.kind,
-            "targets": list(seg.targets),
-            "rabi_rad_per_s": seg.rabi,
-            "phases_rad": list(seg.phases),
-            "duration_s": seg.duration,
-        }
-        if seg.phase_mod_hz is not None:
-            out["phase_mod_hz"] = list(seg.phase_mod_hz)
-        return out
-    if isinstance(seg, LaserPulse):
-        return {"type": seg.kind, "duration_s": seg.duration, "efficiency": seg.efficiency}
-    if isinstance(seg, Delay):
-        return {"type": seg.kind, "duration_s": seg.duration}
-    if isinstance(seg, SensingWindow):
-        return {
-            "type": seg.kind,
-            "duration_s": seg.duration,
-            "targets": list(seg.targets),
-            "pi_fractions": list(seg.pi_fractions),
-            "field": {
-                "amplitude_gauss": seg.field.amplitude_gauss,
-                "frequency_hz": seg.field.frequency_hz,
-                "phase_rad": seg.field.phase_rad,
-                "kind": seg.field.kind,
-            },
-        }
-    raise SequenceError(f"unknown segment {seg!r}")
-
-
-def _segment_from_dict(d: Mapping) -> Segment:
-    t = d["type"]
-    if t == "microwave_drive":
-        return MicrowaveDrive(
-            targets=tuple(d["targets"]),
-            rabi=d["rabi_rad_per_s"],
-            phases=tuple(d["phases_rad"]),
-            duration=d["duration_s"],
-            phase_mod_hz=tuple(d["phase_mod_hz"]) if "phase_mod_hz" in d else None,
-        )
-    if t == "laser_pulse":
-        return LaserPulse(duration=d["duration_s"], efficiency=d["efficiency"])
-    if t == "delay":
-        return Delay(duration=d["duration_s"])
-    if t == "sensing_window":
-        f = d["field"]
-        return SensingWindow(
-            duration=d["duration_s"],
-            targets=tuple(d["targets"]),
-            pi_fractions=tuple(d["pi_fractions"]),
-            field=FieldModel(
-                amplitude_gauss=f["amplitude_gauss"],
-                frequency_hz=f["frequency_hz"],
-                phase_rad=f["phase_rad"],
-                kind=f["kind"],
-            ),
-        )
-    raise SequenceError(f"unknown segment type {t!r}")
-
-
 # ---------------------------------------------------------------------------
 # Effective gate algebra
 
 
 def exchange_unitary(theta: float, phase: float, block: str) -> np.ndarray:
     """Rotation by theta inside one exchange subspace of the (NV, Xe) pair."""
-    if block == "zq":
-        i, j = ZQ_BLOCK
-    elif block == "dq":
-        i, j = DQ_BLOCK
-    else:
+    if block not in EXCHANGE_BLOCKS:
         raise ValueError(f"unknown exchange block {block!r}")
+    i, j = EXCHANGE_BLOCKS[block]
     u = np.eye(4, dtype=complex)
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     u[i, i] = u[j, j] = c
@@ -284,18 +145,6 @@ def apply_exchange_gate(
     return _depolarize(out, params.epsilon)
 
 
-def single_spin_rotation(state: DensityState, target: str, angle: float, phase: float = 0.0) -> DensityState:
-    """Perfect resonant rotation about the in-plane axis set by phase."""
-    lay = state.layout
-    spec_x = {lbl: "I" for lbl in lay.subsystems}
-    spec_x[target] = "Sx"
-    spec_y = dict(spec_x)
-    spec_y[target] = "Sy"
-    gen = np.cos(phase) * build_operator(lay, spec_x).matrix + np.sin(phase) * build_operator(lay, spec_y).matrix
-    u = expm_hermitian(gen, angle)
-    return DensityState(lay, u @ state.matrix @ u.conj().T)
-
-
 @lru_cache(maxsize=8)
 def verify_phase_recipes(d_hz: float, rabi_over_coupling: float = 20.0) -> dict[str, float]:
     """Determine numerically which relative drive phase drives which block.
@@ -328,88 +177,6 @@ def verify_phase_recipes(d_hz: float, rabi_over_coupling: float = 20.0) -> dict[
     if set(out) != {"zq", "dq"}:
         raise RuntimeError(f"phase-recipe verification failed: {out}")
     return out
-
-
-# ---------------------------------------------------------------------------
-# Sequence construction and execution
-
-
-def hhcp(duration: float, phase_recipe: str, params: GateParams, rabi: float | None = None) -> PulseSequence:
-    """Simultaneous matched drives on NV and Xe realizing one exchange gate.
-
-    phase_recipe: "swap" (zero-quantum) or "entangle" (double-quantum).
-    """
-    if duration <= 0:
-        raise SequenceError("HHCP duration must be positive")
-    if phase_recipe not in ("swap", "entangle"):
-        raise SequenceError(f"unknown phase recipe {phase_recipe!r}")
-    recipes = verify_phase_recipes(params.d_hz)
-    rel = recipes["zq"] if phase_recipe == "swap" else recipes["dq"]
-    omega = rabi if rabi is not None else 20.0 * 2.0 * np.pi * params.d_hz
-    return PulseSequence(
-        segments=(
-            MicrowaveDrive(targets=("NV", "Xe"), rabi=omega, phases=(0.0, rel), duration=duration),
-        )
-    )
-
-
-@dataclass(frozen=True)
-class ExecutionContext:
-    """Models and parameters the executor needs beyond the IR itself."""
-
-    gate_params: GateParams
-    envelopes: Mapping[str, DecoherenceEnvelope] = field(default_factory=dict)
-    constants = CONSTANTS
-
-
-def _drive_block(seg: MicrowaveDrive, params: GateParams) -> tuple[str, float]:
-    """Classify a two-target matched drive into its exchange block and phase."""
-    recipes = verify_phase_recipes(params.d_hz)
-    rel = (seg.phases[1] - seg.phases[0]) % (2.0 * np.pi)
-    if abs(rel - recipes["zq"]) < 1e-9 or abs(rel - recipes["zq"] - 2 * np.pi) < 1e-9:
-        block = "zq"
-        phase = seg.phases[0] - seg.phases[1]
-    elif abs(rel - recipes["dq"]) < 1e-9:
-        block = "dq"
-        phase = seg.phases[0] + seg.phases[1]
-    else:
-        raise SequenceError(f"matched drive with unsupported relative phase {rel}")
-    return block, phase
-
-
-def execute(state: DensityState, seq: PulseSequence, ctx: ExecutionContext) -> DensityState:
-    """Map sequence IR to dynamics calls; pure in (state, seq, ctx)."""
-    current = state
-    for seg in seq.segments:
-        if isinstance(seg, MicrowaveDrive):
-            if len(seg.targets) == 2:
-                block, phase = _drive_block(seg, ctx.gate_params)
-                if seg.phase_mod_hz is not None:
-                    # linear phase ramps add coherently on the block phase
-                    ramp = sum(2.0 * np.pi * f * seg.duration for f in seg.phase_mod_hz)
-                    phase = phase + (ramp if block == "dq" else 0.0)
-                current = apply_exchange_gate(current, ctx.gate_params, seg.duration, block, phase)
-            else:
-                angle = seg.rabi * seg.duration
-                current = single_spin_rotation(current, seg.targets[0], angle, seg.phases[0])
-        elif isinstance(seg, LaserPulse):
-            current = optical_pump(current, seg.efficiency)
-        elif isinstance(seg, Delay):
-            pass
-        elif isinstance(seg, SensingWindow):
-            env_key = "double" if len(seg.targets) == 2 else seg.targets[0]
-            env = ctx.envelopes.get(env_key)
-            current = echo_sense(
-                current,
-                seg.duration,
-                seg.field,
-                seg.targets,
-                envelope=env,
-                pi_fractions=seg.pi_fractions,
-            )
-        else:
-            raise SequenceError(f"unknown segment {seg!r}")
-    return current
 
 
 # ---------------------------------------------------------------------------
@@ -565,97 +332,6 @@ def echo_sense(
     return out
 
 
-def _conditional_phase(phi: float) -> np.ndarray:
-    """diag phase +-phi/2 on aligned/anti-aligned (NV, Xe) states."""
-    return np.diag(
-        [
-            np.exp(1.0j * phi / 2.0),
-            np.exp(-1.0j * phi / 2.0),
-            np.exp(-1.0j * phi / 2.0),
-            np.exp(1.0j * phi / 2.0),
-        ]
-    ).astype(complex)
-
-
-def _rot(angle: float, axis: str) -> np.ndarray:
-    half = angle / 2.0
-    if axis == "x":
-        return np.array(
-            [[np.cos(half), -1.0j * np.sin(half)], [-1.0j * np.sin(half), np.cos(half)]]
-        )
-    if axis == "y":
-        return np.array([[np.cos(half), -np.sin(half)], [np.sin(half), np.cos(half)]], dtype=complex)
-    raise ValueError(axis)
-
-
-def _mapping_unitary() -> np.ndarray:
-    """pi/2 -- conditional phase -- pi/2 block mapping X population onto NV."""
-    rx = np.kron(_rot(np.pi / 2.0, "x"), np.eye(2))
-    ry = np.kron(_rot(np.pi / 2.0, "y"), np.eye(2))
-    return ry @ _conditional_phase(np.pi / 2.0) @ rx
-
-
-def _project_nv(state: DensityState) -> DensityState:
-    """Dephase NV coherences (projective measurement, outcome unrecorded)."""
-    mask = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
-    return DensityState(state.layout, state.matrix * mask)
-
-
-def recoupled_readout(
-    state: DensityState,
-    params: GateParams,
-    pump_efficiency: float = 1.0,
-) -> tuple[DensityState, float]:
-    """Map the X population difference onto the NV and read it out.
-
-    A coupling-driven conditional-phase echo block of duration 1/(2d),
-    sandwiched by NV pi/2 pulses, rotates the NV conditionally on the X
-    state.  Returns the post-measurement state (NV projected, repumped;
-    X populations preserved up to the gate error) and the NV signal
-    (population of NV |0>).
-    """
-    if state.layout != TWO_SPIN_LAYOUT:
-        raise LayoutError("recoupled readout acts on the (NV, Xe) pair")
-    u = _mapping_unitary()
-    mapped = DensityState(state.layout, u @ state.matrix @ u.conj().T)
-    mapped = _depolarize(mapped, params.epsilon)
-    p0 = build_operator(TWO_SPIN_LAYOUT, {"NV": "P0", "Xe": "I"})
-    signal = float(mapped.expectation(p0))
-    out = _project_nv(mapped)
-    out = optical_pump(out, pump_efficiency)
-    return out, signal
-
-
-def repetitive_readout(
-    state: DensityState,
-    m: int,
-    params: GateParams,
-    readout_model=None,
-    pump_efficiency: float = 1.0,
-) -> list[float]:
-    """Amplitude ladder a_0..a_m from one direct plus m recoupled readouts.
-
-    The first readout is free: the disentangling gate has already mapped
-    the field-dependent phase onto both spin populations, so the NV is
-    read directly.  Each later readout costs one mapping gate.  With a
-    ReadoutModel the amplitudes are returned in mean-count units
-    (n0 * contrast * population amplitude); otherwise dimensionless.
-    """
-    if m < 0:
-        raise ValueError("repetition count must be >= 0")
-    scale = 1.0 if readout_model is None else readout_model.n0 * readout_model.contrast
-    sz_nv = build_operator(TWO_SPIN_LAYOUT, {"NV": "Sz", "Xe": "I"})
-    amplitudes = [abs(2.0 * float(state.expectation(sz_nv)))]
-    current = optical_pump(_project_nv(state), pump_efficiency)
-    for _ in range(m):
-        u = _mapping_unitary()
-        mapped = DensityState(current.layout, u @ current.matrix @ u.conj().T)
-        mapped = _depolarize(mapped, params.epsilon)
-        amplitudes.append(abs(2.0 * float(mapped.expectation(sz_nv))))
-        current = optical_pump(_project_nv(mapped), pump_efficiency)
-    return [a * scale for a in amplitudes]
-
-
 def calibrate_gate_error(
     p1_target: float,
     pump_efficiency: float,
@@ -679,24 +355,3 @@ def calibrate_gate_error(
 
     eps = brentq(residual, 0.0, 0.5, xtol=1e-12)
     return GateParams(d_hz=d_hz, epsilon=float(eps), t1rho_s=t1rho_s)
-
-
-def nuclear_contrast(
-    signal: np.ndarray | float,
-    factor: NuclearFactor,
-    renormalize: bool = False,
-) -> tuple[np.ndarray | float, bool]:
-    """Scale a two-spin signal by the nuclear-spectator contrast factor.
-
-    With one addressed hyperfine transition the amplitude scales by
-    q + (1-q)/2; driving both transitions leaves it unchanged.  When
-    `renormalize` is set (display convention: baseline-subtracted signal
-    multiplied by two), the returned flag records that the scaling was
-    compensated.
-    """
-    scale = factor.amplitude_factor
-    applied_renorm = False
-    if renormalize and factor.transitions == 1:
-        scale *= 2.0
-        applied_renorm = True
-    return signal * scale if not isinstance(signal, (int, float)) else float(signal) * scale, applied_renorm

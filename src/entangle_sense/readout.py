@@ -1,74 +1,18 @@
-"""Optical readout statistics and repetitive-readout SNR accounting.
+"""Repetitive-readout SNR accounting and amplitude-ladder models.
 
-Photon counts are Poissonian with a mean that interpolates between the
-bright and dark levels according to the NV population.  Repeated
-readouts of the same stored spin state are combined with inverse-
-variance weights on their per-readout amplitudes, which yields the
-quadrature-sum SNR gain.
+Repeated readouts of the same stored spin state, with per-readout
+amplitudes a_0..a_m, combine to the quadrature-sum SNR gain
+sqrt(sum a_k^2) / a_0.  The ladder itself is either a stretched
+exponential calibrated to a measured working point or a one-parameter
+geometric decay matched to a target gain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq, fsolve
-
-
-@dataclass(frozen=True)
-class ReadoutModel:
-    """Poisson photon statistics of a single optical readout window."""
-
-    n0: float  # mean bright-state photon number
-    contrast: float  # relative bright/dark count difference
-
-    def __post_init__(self) -> None:
-        if self.n0 <= 0:
-            raise ValueError("mean photon number must be positive")
-        if not 0.0 < self.contrast <= 1.0:
-            raise ValueError("optical contrast must be in (0, 1]")
-
-    def mean_counts(self, p_bright: float | np.ndarray) -> float | np.ndarray:
-        """Mean photon number for bright-state population p_bright."""
-        return self.n0 * (1.0 - self.contrast * (1.0 - p_bright))
-
-    def simulate_counts(
-        self,
-        p_bright: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        p = np.asarray(p_bright, dtype=float)
-        if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
-            raise ValueError("populations must lie in [0, 1]")
-        return rng.poisson(self.mean_counts(np.clip(p, 0.0, 1.0)))
-
-
-def readout_noise(model: ReadoutModel, p_bright: float = 0.5) -> float:
-    """Photon shot-noise standard deviation at the working point."""
-    return float(np.sqrt(model.mean_counts(p_bright)))
-
-
-def optimal_weights(amplitudes: Sequence[float], sigmas: Sequence[float]) -> np.ndarray:
-    """Inverse-variance weights w_k proportional to a_k / sigma_k^2."""
-    a = np.asarray(amplitudes, dtype=float)
-    s = np.asarray(sigmas, dtype=float)
-    if a.shape != s.shape:
-        raise ValueError("amplitudes and sigmas must have matching shapes")
-    if np.any(s <= 0):
-        raise ValueError("noise levels must be positive")
-    w = a / s**2
-    total = np.sum(np.abs(w))
-    if total == 0:
-        raise ValueError("all amplitudes vanish; weights undefined")
-    return w / total
-
-
-def combined_snr(amplitudes: Sequence[float], sigmas: Sequence[float]) -> float:
-    """SNR of the optimally weighted sum: sqrt(sum (a_k / sigma_k)^2)."""
-    a = np.asarray(amplitudes, dtype=float)
-    s = np.asarray(sigmas, dtype=float)
-    return float(np.sqrt(np.sum((a / s) ** 2)))
 
 
 def snr_gain(amplitudes: Sequence[float], sigmas: Sequence[float] | None = None) -> np.ndarray:
@@ -85,33 +29,6 @@ def snr_gain(amplitudes: Sequence[float], sigmas: Sequence[float] | None = None)
     s = np.ones_like(a) if sigmas is None else np.asarray(sigmas, dtype=float)
     terms = (a / s) ** 2
     return np.sqrt(np.cumsum(terms) / terms[0])
-
-
-def cumulative_snr(amplitudes: Sequence[float], sigmas: Sequence[float] | None = None) -> np.ndarray:
-    """SNR(m) = sqrt(sum_{k<=m} (a_k/sigma_k)^2), normalized to SNR(0) = 1."""
-    return snr_gain(amplitudes, sigmas)
-
-
-@dataclass(frozen=True)
-class WeightedReadout:
-    """Amplitude ladder with per-readout noise and its optimal weights."""
-
-    amplitudes: tuple[float, ...]
-    sigmas: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.amplitudes) != len(self.sigmas):
-            raise ValueError("one sigma per amplitude required")
-        if any(s <= 0 for s in self.sigmas):
-            raise ValueError("noise levels must be positive")
-
-    @property
-    def weights(self) -> np.ndarray:
-        return optimal_weights(self.amplitudes, self.sigmas)
-
-    @property
-    def snr(self) -> float:
-        return combined_snr(self.amplitudes, self.sigmas)
 
 
 def stretched_ladder(k0: float, s: float, m: int) -> np.ndarray:

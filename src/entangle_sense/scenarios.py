@@ -48,10 +48,9 @@ from .protocols import (
     polarization_transfer,
     prepare_entangled,
     verify_phase_recipes,
-    x_polarization,
 )
 from .readout import calibrate_ladder, snr_gain, stretched_ladder
-from .spinsys import bell_coherence, build_operator, layout, polarized_state, pure_state
+from .spinsys import bell_coherence, build_operator, polarized_state
 
 # Reconstructed per-readout amplitude ladder for the repetitive-readout
 # gain figure (normalized to the direct readout; digitized working point).

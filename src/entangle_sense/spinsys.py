@@ -1,4 +1,4 @@
-"""Labeled multi-spin-1/2 Hilbert spaces: operators, density states, partial traces.
+"""Labeled multi-spin-1/2 Hilbert spaces: operators and density states.
 
 Systems are tensor products of up to three spin-1/2 subsystems labeled
 ``NV`` (the optically addressed sensor qubit), ``Xe`` (the ancilla
@@ -8,8 +8,8 @@ instantiated).  Single-spin operators follow the S = sigma/2 convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -141,9 +141,6 @@ class DensityState:
         val = complex(np.trace(op.matrix @ self.matrix))
         return val.real if op.hermitian else val
 
-    def population(self, basis_index: int) -> float:
-        return float(self.matrix[basis_index, basis_index].real)
-
 
 def validate_density_matrix(mat: np.ndarray) -> None:
     """Check trace, Hermiticity, and positivity; raise StateError on violation."""
@@ -202,48 +199,12 @@ def pure_state(lay: SpinLayout, amplitudes: np.ndarray) -> DensityState:
     return DensityState(layout=lay, matrix=np.outer(vec, vec.conj()))
 
 
-def partial_trace(state: DensityState, keep: Iterable[str]) -> DensityState:
-    """Reduced state on the kept subsystems (in original layout order)."""
-    keep = list(keep)
-    if not keep:
-        raise LayoutError("keep set must be nonempty")
-    for label in keep:
-        state.layout.index(label)
-    kept_positions = [i for i, lbl in enumerate(state.layout.subsystems) if lbl in keep]
-    traced_positions = [i for i in range(state.layout.n_spins) if i not in kept_positions]
-    n = state.layout.n_spins
-    tensor = state.matrix.reshape([2] * (2 * n))
-    for count, pos in enumerate(sorted(traced_positions)):
-        axis1 = pos - count
-        axis2 = pos - count + (n - count)
-        tensor = np.trace(tensor, axis1=axis1, axis2=axis2)
-    new_labels = tuple(state.layout.subsystems[i] for i in kept_positions)
-    dim = 2 ** len(kept_positions)
-    return DensityState(layout=SpinLayout(new_labels), matrix=tensor.reshape(dim, dim))
-
-
 def bell_coherence(state: DensityState) -> complex:
-    """The <00|rho|11> matrix element on the two electronic spins.
+    """The <00|rho|11> matrix element of an (NV, Xe) state.
 
-    A nuclear subsystem, if present, is traced out first.  Its magnitude
-    quantifies the usable two-spin coherence in the Bell-state block.
+    Its magnitude quantifies the usable two-spin coherence in the
+    Bell-state block.
     """
-    current = state
-    if "Xn" in current.layout:
-        current = partial_trace(current, ["NV", "Xe"])
-    if set(current.layout.subsystems) != {"NV", "Xe"}:
-        raise LayoutError(f"bell_coherence needs the two electronic spins, got {current.layout.subsystems}")
-    if current.layout.subsystems != ("NV", "Xe"):
-        current = reorder(current, ("NV", "Xe"))
-    return complex(current.matrix[0, 3])
-
-
-def reorder(state: DensityState, order: tuple[str, ...]) -> DensityState:
-    """Permute subsystem order of a density state."""
-    if set(order) != set(state.layout.subsystems):
-        raise LayoutError("reorder must use the same labels")
-    n = state.layout.n_spins
-    perm = [state.layout.index(lbl) for lbl in order]
-    tensor = state.matrix.reshape([2] * (2 * n))
-    tensor = tensor.transpose(perm + [p + n for p in perm])
-    return DensityState(layout=SpinLayout(tuple(order)), matrix=tensor.reshape(2**n, 2**n))
+    if state.layout.subsystems != ("NV", "Xe"):
+        raise LayoutError(f"bell_coherence needs the (NV, Xe) pair, got {state.layout.subsystems}")
+    return complex(state.matrix[0, 3])

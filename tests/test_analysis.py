@@ -19,7 +19,6 @@ from entangle_sense.analysis import (
     sweep_gain_map,
     unity_crossing,
     write_curve_csv,
-    write_grid_csv,
 )
 from entangle_sense.dynamics import DecoherenceEnvelope
 from entangle_sense.protocols import NuclearFactor
@@ -315,19 +314,3 @@ def test_write_curve_csv(tmp_path):
     assert len(text.splitlines()) == 3
     with pytest.raises(ValueError):
         write_curve_csv(str(path), {"x[s]": [1.0], "y[1]": [1.0, 2.0]})
-
-
-def test_write_grid_csv(tmp_path):
-    grid = sweep_gain_map(
-        np.array([50e3, 60e3]), np.array([0.5, 0.6]), use_repetitive_readout=False, tau_points=50
-    )
-    path = tmp_path / "g.csv"
-    write_grid_csv(str(path), grid)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "d[Hz],gamma2_ratio[1],max_gain_sensitivity[1]"
-    assert len(lines) == 5
-    # JSON serialization round-trips
-    import json
-
-    payload = json.loads(grid.to_json())
-    assert payload["d_axis_hz"] == [50e3, 60e3]

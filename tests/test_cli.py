@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import entangle_sense
 from entangle_sense.cli import main
 from entangle_sense.config import ConfigError, DEFAULTS, resolve, validate
 
@@ -49,6 +50,12 @@ def test_meta_contains_stable_hash(tmp_path):
     ha = json.loads((a / "fig2d.meta.json").read_text())["config_hash_sha256"]
     hb = json.loads((b / "fig2d.meta.json").read_text())["config_hash_sha256"]
     assert ha == hb and len(ha) == 64
+
+
+def test_meta_reports_package_version(tmp_path):
+    _run(["run", "--scenario", "fig2d", "--out", str(tmp_path), "--quiet"])
+    meta = json.loads((tmp_path / "fig2d.meta.json").read_text())
+    assert meta["version"] == entangle_sense.__version__
 
 
 def test_env_var_default_out(tmp_path, monkeypatch):

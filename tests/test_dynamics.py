@@ -16,10 +16,10 @@ from entangle_sense.dynamics import (
     ou_phase_variance,
     ou_trajectory,
     propagate,
-    pump_kraus_identity_deviation,
 )
 from entangle_sense.spinsys import (
     DensityState,
+    LayoutError,
     build_operator,
     layout,
     polarized_state,
@@ -156,7 +156,11 @@ def test_optical_pump_partial_efficiency():
 
 
 def test_optical_pump_kraus_identity():
-    assert pump_kraus_identity_deviation(0.37) < 1e-12
+    # sum_k K_k^dag K_k = I  <=>  the channel keeps the trace of every state;
+    # 20 random states span the 16-dimensional space of Hermitian 4x4 matrices
+    for seed in range(20):
+        out = optical_pump(_random_state(seed), 0.37)
+        assert abs(np.trace(out.matrix) - 1.0) < 1e-12
 
 
 def test_optical_pump_leaves_x_untouched():
@@ -217,6 +221,15 @@ def test_driven_decay_limits():
     # contrast factors
     assert model.contrast(132e-6) == pytest.approx(np.exp(-1.0), rel=1e-12)
     assert model.contrast(8.6e-6) == pytest.approx(0.937, abs=5e-4)
+
+
+def test_driven_decay_needs_nv_xe_pair():
+    model = DrivenDecayModel(132e-6)
+    swapped = pure_state(layout("Xe", "NV"), np.array([0.0, 1.0, 0.0, 0.0]))
+    single = polarized_state(layout("NV"), {"NV": 1.0})
+    for rho in (swapped, single):
+        with pytest.raises(LayoutError):
+            driven_decay(rho, model, 1e-6)
 
 
 def test_monte_carlo_zero_noise_equals_propagate():
@@ -284,7 +297,6 @@ def test_hamiltonian_hermitian():
         layout=TWO,
         drives={"NV": DriveTerm(rabi=1e6, phase=1.1, detuning=3e4)},
         coupling_hz=58e3,
-        field=FieldModel(amplitude_gauss=0.05, frequency_hz=1e5),
     )
-    h = ham.assemble(t=1.3e-6)
+    h = ham.assemble()
     assert np.max(np.abs(h - h.conj().T)) < 1e-12

@@ -3,28 +3,17 @@ import pytest
 
 from entangle_sense.dynamics import DecoherenceEnvelope, FieldModel, optical_pump
 from entangle_sense.protocols import (
-    ExecutionContext,
     GateParams,
     NuclearFactor,
-    PulseSequence,
-    SensingWindow,
-    SequenceError,
     TWO_SPIN_LAYOUT,
     apply_exchange_gate,
     calibrate_gate_error,
-    disentangle,
     dominant_frequency,
     echo_sense,
-    execute,
-    hhcp,
     modulated_disentangle_scan,
-    nuclear_contrast,
-    nv_polarization,
     overlap_factor,
     polarization_transfer,
     prepare_entangled,
-    recoupled_readout,
-    repetitive_readout,
     verify_phase_recipes,
     x_polarization,
 )
@@ -50,18 +39,14 @@ def test_phase_recipes_identified_numerically():
 
 
 def test_hhcp_swap_recipe_swaps_populations():
-    seq = hhcp(IDEAL.swap_time, "swap", IDEAL)
-    ctx = ExecutionContext(gate_params=IDEAL)
     rho = pure_state(TWO_SPIN_LAYOUT, _ket(1))  # |01>
-    out = execute(rho, seq, ctx)
+    out = apply_exchange_gate(rho, IDEAL, IDEAL.swap_time, block="zq")
     assert out.matrix[2, 2].real > 0.98  # |10>
 
 
 def test_hhcp_entangle_recipe_bell_coherence_half():
-    seq = hhcp(IDEAL.entangle_time, "entangle", IDEAL)
-    ctx = ExecutionContext(gate_params=IDEAL)
     rho = pure_state(TWO_SPIN_LAYOUT, _ket(0))
-    out = execute(rho, seq, ctx)
+    out = apply_exchange_gate(rho, IDEAL, IDEAL.entangle_time, block="dq")
     assert abs(bell_coherence(out)) == pytest.approx(0.5, abs=0.01)
 
 
@@ -76,15 +61,9 @@ def test_hhcp_with_driven_decay_contrast():
 
 
 def test_hhcp_rejects_bad_recipe():
-    with pytest.raises(SequenceError):
-        hhcp(1e-6, "sideways", IDEAL)
-
-
-def test_sequence_duration_bookkeeping_and_json_roundtrip():
-    seq = hhcp(IDEAL.swap_time, "swap", IDEAL)
-    assert seq.total_duration == pytest.approx(IDEAL.swap_time)
-    restored = PulseSequence.from_json(seq.to_json())
-    assert restored == seq
+    rho = pure_state(TWO_SPIN_LAYOUT, _ket(0))
+    with pytest.raises(ValueError):
+        apply_exchange_gate(rho, IDEAL, IDEAL.swap_time, block="sideways")
 
 
 # ---------------------------------------------------------------------------
@@ -194,98 +173,21 @@ def test_echo_sense_two_spin_double_phase():
 # readout chain
 
 
-def test_recoupled_readout_full_contrast():
-    hi = polarized_state(TWO_SPIN_LAYOUT, {"NV": 1.0, "Xe": 1.0})
-    lo = polarized_state(TWO_SPIN_LAYOUT, {"NV": 1.0, "Xe": -1.0})
-    _, sig_hi = recoupled_readout(hi, IDEAL)
-    _, sig_lo = recoupled_readout(lo, IDEAL)
-    assert abs(sig_hi - sig_lo) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_recoupled_readout_preserves_x_population():
-    rho = polarized_state(TWO_SPIN_LAYOUT, {"NV": 1.0, "Xe": 0.8})
-    out, _ = recoupled_readout(rho, IDEAL)
-    assert x_polarization(out) == pytest.approx(0.8, abs=1e-9)
-
-
-def test_recoupled_readout_contrast_decays_geometrically():
-    params = GateParams(d_hz=58e3, epsilon=0.03)
-    rho = polarized_state(TWO_SPIN_LAYOUT, {"NV": 1.0, "Xe": 0.9})
-    contrasts = []
-    for _ in range(4):
-        rho, _ = recoupled_readout(rho, params)
-        contrasts.append(x_polarization(rho))
-    ratios = np.diff(np.log(contrasts))
-    assert np.allclose(ratios, ratios[0], atol=1e-9)
-    assert np.exp(ratios[0]) == pytest.approx(1 - params.epsilon, abs=1e-9)
-
-
 def test_laser_between_readouts_leaves_x_alone():
     rho = polarized_state(TWO_SPIN_LAYOUT, {"NV": -0.2, "Xe": 0.73})
     pumped = optical_pump(rho, 1.0)
     assert x_polarization(pumped) == pytest.approx(0.73, abs=1e-12)
 
 
-def test_repetitive_readout_ideal_all_equal():
-    rho = polarized_state(TWO_SPIN_LAYOUT, {"NV": 0.9, "Xe": 0.9})
-    ladder = repetitive_readout(rho, 5, IDEAL)
-    assert len(ladder) == 6
-    assert np.allclose(ladder, ladder[0], atol=1e-9)
-
-
-def test_repetitive_readout_single_element():
-    rho = polarized_state(TWO_SPIN_LAYOUT, {"NV": 0.9, "Xe": 0.9})
-    assert len(repetitive_readout(rho, 0, IDEAL)) == 1
-
-
-def test_repetitive_readout_non_increasing_with_error():
-    params = GateParams(d_hz=58e3, epsilon=0.05)
-    rho = polarized_state(TWO_SPIN_LAYOUT, {"NV": 0.8, "Xe": 0.8})
-    ladder = repetitive_readout(rho, 8, params)
-    assert all(a >= 0 for a in ladder)
-    assert all(ladder[k + 1] <= ladder[k] + 1e-12 for k in range(len(ladder) - 1))
-
-
 def test_nuclear_contrast_factors():
-    sig, flag = nuclear_contrast(1.0, NuclearFactor(0.0, 1))
-    assert sig == pytest.approx(0.5) and not flag
-    sig, flag = nuclear_contrast(1.0, NuclearFactor(1.0, 1))
-    assert sig == pytest.approx(1.0)
-    sig, flag = nuclear_contrast(1.0, NuclearFactor(0.0, 2))
-    assert sig == pytest.approx(1.0)
-    sig, flag = nuclear_contrast(1.0, NuclearFactor(0.0, 1), renormalize=True)
-    assert sig == pytest.approx(1.0) and flag
+    # an unpolarized nuclear spin halves the contrast unless both transitions are driven
+    assert NuclearFactor(0.0, 1).amplitude_factor == pytest.approx(0.5)
+    assert NuclearFactor(1.0, 1).amplitude_factor == pytest.approx(1.0)
+    assert NuclearFactor(0.0, 2).amplitude_factor == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
 # executor envelope discipline
-
-
-def test_executor_single_envelope_per_window():
-    # one window of tau must NOT equal two windows of tau/2 for p != 1,
-    # and must equal the closed-form single application
-    env = DecoherenceEnvelope(1.0, 30e3, 1.6)
-    ctx = ExecutionContext(gate_params=IDEAL, envelopes={"NV": env})
-    field = FieldModel(amplitude_gauss=0.0, frequency_hz=100e3)
-    rho = pure_state(TWO_SPIN_LAYOUT, (np.kron([1, 1], [1, 0]) / np.sqrt(2)))
-    tau = 12e-6
-    one = execute(
-        rho,
-        PulseSequence((SensingWindow(tau, field, ("NV",)),)),
-        ctx,
-    )
-    two = execute(
-        rho,
-        PulseSequence(
-            (
-                SensingWindow(tau / 2, field, ("NV",)),
-                SensingWindow(tau / 2, field, ("NV",)),
-            )
-        ),
-        ctx,
-    )
-    assert abs(one.matrix[0, 2]) == pytest.approx(0.5 * env.decay(tau), abs=1e-12)
-    assert abs(one.matrix[0, 2]) != pytest.approx(abs(two.matrix[0, 2]), rel=1e-3)
 
 
 def test_calibrate_gate_error_reproduces_target():

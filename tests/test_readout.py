@@ -4,60 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entangle_sense.readout import (
-    ReadoutModel,
-    WeightedReadout,
     calibrate_ladder,
-    combined_snr,
-    cumulative_snr,
     geometric_ratio_for_gain,
-    optimal_weights,
     snr_gain,
     stretched_ladder,
 )
-
-
-def test_counts_contrast_zero_mean_is_n0():
-    model = ReadoutModel(n0=0.05, contrast=1e-12)
-    assert model.mean_counts(0.0) == pytest.approx(0.05)
-    assert model.mean_counts(1.0) == pytest.approx(0.05)
-
-
-def test_counts_bright_state_mean():
-    model = ReadoutModel(n0=0.05, contrast=0.3)
-    assert model.mean_counts(1.0) == pytest.approx(0.05)
-    assert model.mean_counts(0.0) == pytest.approx(0.05 * 0.7)
-
-
-def test_counts_sample_mean_within_3_sigma():
-    model = ReadoutModel(n0=0.8, contrast=0.3)
-    rng = np.random.default_rng(5)
-    n = 100_000
-    counts = model.simulate_counts(np.full(n, 0.4), rng)
-    mean = model.mean_counts(0.4)
-    assert abs(counts.mean() - mean) < 3 * np.sqrt(mean / n)
-    # Poisson: variance matches mean
-    assert abs(counts.var() - mean) < 5 * mean / np.sqrt(n)
-
-
-def test_counts_rejects_bad_population():
-    model = ReadoutModel(n0=0.5, contrast=0.3)
-    with pytest.raises(ValueError):
-        model.simulate_counts(np.array([1.4]), np.random.default_rng(0))
-
-
-def test_optimal_weights_uniform_for_equal_ladder():
-    w = optimal_weights([1.0, 1.0, 1.0], [0.2, 0.2, 0.2])
-    assert np.allclose(w, 1 / 3)
-
-
-def test_optimal_weights_formula():
-    w = optimal_weights([2.0, 1.0], [1.0, 1.0])
-    assert w[0] / w[1] == pytest.approx(2.0)
-
-
-def test_optimal_weights_all_zero_rejected():
-    with pytest.raises(ValueError):
-        optimal_weights([0.0, 0.0], [1.0, 1.0])
 
 
 def test_optimal_beats_unweighted_on_random_ladders():
@@ -66,8 +17,10 @@ def test_optimal_beats_unweighted_on_random_ladders():
         a = rng.uniform(0.05, 1.0, size=8)
         s = rng.uniform(0.1, 1.0, size=8)
         # variance of the optimally combined estimate of the signal x where
-        # reading k has mean a_k x and noise s_k: 1 / sum (a/s)^2
-        var_opt = 1.0 / np.sum((a / s) ** 2)
+        # reading k has mean a_k x and noise s_k: 1 / sum (a/s)^2, which is
+        # the single-readout variance (s_0/a_0)^2 divided by snr_gain^2
+        var_opt = (s[0] / a[0]) ** 2 / snr_gain(a, s)[-1] ** 2
+        assert var_opt == pytest.approx(1.0 / np.sum((a / s) ** 2), rel=1e-12)
         # unweighted average estimator: sum y_k / sum a_k
         var_avg = np.sum(s**2) / np.sum(a) ** 2
         var_single = np.min((s / a) ** 2)
@@ -76,13 +29,13 @@ def test_optimal_beats_unweighted_on_random_ladders():
 
 
 def test_cumulative_snr_equal_readouts():
-    gains = cumulative_snr(np.ones(10))
+    gains = snr_gain(np.ones(10))
     assert gains[-1] == pytest.approx(np.sqrt(10))
     assert gains[0] == pytest.approx(1.0)
 
 
 def test_cumulative_snr_m0_is_unity():
-    assert cumulative_snr([0.7])[0] == pytest.approx(1.0)
+    assert snr_gain([0.7])[0] == pytest.approx(1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -125,11 +78,3 @@ def test_geometric_ladder_fit_to_sum_gives_low_snr():
 
     r = brentq(lambda x: np.sum(x ** np.arange(10)) - 4.2, 1e-6, 1 - 1e-9)
     assert snr_gain(r ** np.arange(10))[-1] == pytest.approx(1.5, abs=0.1)
-
-
-def test_weighted_readout_container():
-    wr = WeightedReadout(amplitudes=(1.0, 0.5), sigmas=(0.1, 0.1))
-    assert wr.snr == pytest.approx(combined_snr([1.0, 0.5], [0.1, 0.1]))
-    assert wr.weights[0] > wr.weights[1]
-    with pytest.raises(ValueError):
-        WeightedReadout(amplitudes=(1.0,), sigmas=(0.0,))

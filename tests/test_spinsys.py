@@ -11,7 +11,6 @@ from entangle_sense.spinsys import (
     bell_coherence,
     build_operator,
     layout,
-    partial_trace,
     polarized_state,
     pure_state,
     validate_density_matrix,
@@ -78,58 +77,15 @@ def test_bell_coherence_mixed_zero():
     assert bell_coherence(rho) == 0.0
 
 
-def test_bell_coherence_traces_out_nuclear_spin():
-    lay = layout("NV", "Xe", "Xn")
-    psi2 = np.array([1.0, 0.0, 0.0, -1.0j]) / np.sqrt(2.0)
-    psi = np.kron(psi2, np.array([1.0, 0.0]))
-    rho = pure_state(lay, psi)
-    assert bell_coherence(rho) == pytest.approx(0.5j)
-
-
-def test_partial_trace_product_state():
-    lay = layout("NV", "Xe")
-    rho = polarized_state(lay, {"NV": 0.4, "Xe": -0.2})
-    reduced = partial_trace(rho, ("Xe",))
-    assert np.allclose(reduced.matrix, np.diag([0.4, 0.6]))
-
-
-def test_partial_trace_bell_maximally_mixed():
+def test_bell_coherence_rejects_other_layouts():
     psi = np.array([1.0, 0.0, 0.0, -1.0j]) / np.sqrt(2.0)
-    rho = pure_state(layout("NV", "Xe"), psi)
-    for keep in (("NV",), ("Xe",)):
-        assert np.allclose(partial_trace(rho, keep).matrix, np.eye(2) / 2)
-
-
-def _index_sum_trace_out_last(mat, dim_keep, dim_drop):
-    out = np.zeros((dim_keep, dim_keep), dtype=complex)
-    for i in range(dim_keep):
-        for j in range(dim_keep):
-            for k in range(dim_drop):
-                out[i, j] += mat[i * dim_drop + k, j * dim_drop + k]
-    return out
-
-
-def test_partial_trace_matches_index_sum_oracle():
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    mat = a @ a.conj().T
-    mat /= np.trace(mat).real
-    lay = layout("NV", "Xe", "Xn")
-    rho = DensityState(lay, mat)
-    reduced = partial_trace(rho, ("NV", "Xe"))
-    assert np.allclose(reduced.matrix, _index_sum_trace_out_last(mat, 4, 2), atol=1e-12)
-
-
-def test_partial_trace_all_labels_is_identity():
-    lay = layout("NV", "Xe")
-    rho = polarized_state(lay, {"NV": 0.3, "Xe": 0.7})
-    assert np.allclose(partial_trace(rho, ("NV", "Xe")).matrix, rho.matrix)
-
-
-def test_partial_trace_empty_keep_rejected():
-    rho = polarized_state(layout("NV", "Xe"), {"NV": 0.0, "Xe": 0.0})
-    with pytest.raises((ValueError, LayoutError)):
-        partial_trace(rho, ())
+    for lay, vec in (
+        (layout("Xe", "NV"), psi),
+        (layout("NV"), np.array([1.0, 0.0])),
+        (layout("NV", "Xe", "Xn"), np.kron(psi, np.array([1.0, 0.0]))),
+    ):
+        with pytest.raises(LayoutError):
+            bell_coherence(pure_state(lay, vec))
 
 
 def test_density_state_invariants_enforced():
