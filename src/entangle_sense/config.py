@@ -136,22 +136,36 @@ def _merge(base: dict, override: dict, path: str, diagnostics: list[str]) -> dic
 
 
 def _check_number(data: dict, path: str, low: float, high: float, diagnostics: list[str],
-                  required: bool = True, integer: bool = False) -> None:
+                  required: bool = True, integer: bool = False, low_open: bool = False) -> Any:
+    """Check one numeric parameter; return its value when valid, else None.
+
+    low_open excludes the lower bound, for values the scenarios divide by
+    or need strictly above it.
+    """
     node: Any = data
     for part in path.split("."):
         node = node.get(part) if isinstance(node, dict) else None
     if node is None:
         if required:
             diagnostics.append(f"{path}: required parameter is missing")
-        return
+        return None
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         diagnostics.append(f"{path}: expected a number, got {type(node).__name__}")
-        return
+        return None
     if integer and int(node) != node:
         diagnostics.append(f"{path}: expected an integer")
-        return
-    if not (low <= node <= high):
-        diagnostics.append(f"{path}: value {node} outside [{low}, {high}]")
+        return None
+    above_low = low < node if low_open else low <= node
+    if not (above_low and node <= high):
+        diagnostics.append(f"{path}: value {node} outside {'(' if low_open else '['}{low}, {high}]")
+        return None
+    return node
+
+
+def _check_below(low_path: str, low: Any, high_path: str, high: Any, diagnostics: list[str]) -> None:
+    """Cross-field rule low < high, checked only when both values are valid."""
+    if low is not None and high is not None and not low < high:
+        diagnostics.append(f"{low_path}: value {low} must be below {high_path} ({high})")
 
 
 def validate(data: dict[str, Any]) -> list[str]:
@@ -165,11 +179,11 @@ def validate(data: dict[str, Any]) -> list[str]:
     _check_number(data, "coupling.d_hz", 1.0, 1.0e9, diagnostics)
     _check_number(data, "coupling.rabi_rad_per_s", 0.0, 1.0e12, diagnostics)
     _check_number(data, "coupling.t1rho_s", 1e-9, 1.0, diagnostics)
-    _check_number(data, "decoherence.gamma2_nv_hz", 0.0, 1.0e9, diagnostics)
+    _check_number(data, "decoherence.gamma2_nv_hz", 0.0, 1.0e9, diagnostics, low_open=True)
     _check_number(data, "decoherence.gamma2_x_hz", 0.0, 1.0e9, diagnostics)
     _check_number(data, "decoherence.gamma2_two_spin_hz", 0.0, 1.0e9, diagnostics)
     _check_number(data, "decoherence.p", 0.5, 3.0, diagnostics)
-    _check_number(data, "decoherence.alpha0_nv", 0.0, 1.0, diagnostics)
+    _check_number(data, "decoherence.alpha0_nv", 0.0, 1.0, diagnostics, low_open=True)
     _check_number(data, "decoherence.alpha0_two_spin", 0.0, 1.0, diagnostics)
     _check_number(data, "nuclear.polarization", 0.0, 1.0, diagnostics)
     _check_number(data, "nuclear.transitions", 1, 2, diagnostics, integer=True)
@@ -179,14 +193,21 @@ def validate(data: dict[str, Any]) -> list[str]:
     _check_number(data, "pump.efficiency", 0.0, 1.0, diagnostics)
     _check_number(data, "calibration.initial_x_polarization", -1.0, 1.0, diagnostics)
     _check_number(data, "calibration.one_round_x_polarization", -1.0, 1.0, diagnostics)
-    _check_number(data, "readout.amplitude_sum", 1.0, 100.0, diagnostics)
+    amplitude_sum = _check_number(data, "readout.amplitude_sum", 1.0, 100.0, diagnostics, low_open=True)
     _check_number(data, "readout.snr_at_m", 1.0, 100.0, diagnostics)
-    _check_number(data, "readout.m_max", 0, 1000, diagnostics, integer=True)
-    _check_number(data, "sweep.d_min_hz", 1.0, 1e9, diagnostics)
-    _check_number(data, "sweep.d_max_hz", 1.0, 1e9, diagnostics)
+    m_max = _check_number(data, "readout.m_max", 0, 1000, diagnostics, integer=True)
+    # the fig2d ladder a_k <= 1 over k = 0..m_max sums to at most m_max + 1
+    if amplitude_sum is not None and m_max is not None and amplitude_sum > m_max + 1:
+        diagnostics.append(
+            f"readout.amplitude_sum: value {amplitude_sum} above readout.m_max + 1 ({m_max + 1})"
+        )
+    d_min = _check_number(data, "sweep.d_min_hz", 1.0, 1e9, diagnostics)
+    d_max = _check_number(data, "sweep.d_max_hz", 1.0, 1e9, diagnostics)
+    _check_below("sweep.d_min_hz", d_min, "sweep.d_max_hz", d_max, diagnostics)
     _check_number(data, "sweep.d_points", 2, 1000, diagnostics, integer=True)
-    _check_number(data, "sweep.ratio_min", 0.0, 100.0, diagnostics)
-    _check_number(data, "sweep.ratio_max", 0.0, 100.0, diagnostics)
+    ratio_min = _check_number(data, "sweep.ratio_min", 0.0, 100.0, diagnostics)
+    ratio_max = _check_number(data, "sweep.ratio_max", 0.0, 100.0, diagnostics)
+    _check_below("sweep.ratio_min", ratio_min, "sweep.ratio_max", ratio_max, diagnostics)
     _check_number(data, "sweep.ratio_points", 2, 1000, diagnostics, integer=True)
     _check_number(data, "sweep.m_max", 0, 1000, diagnostics, integer=True)
     _check_number(data, "run.seed", 0, 2**63 - 1, diagnostics, integer=True)

@@ -170,14 +170,22 @@ class OUNoiseModel:
             raise ValueError("need at least one trajectory")
 
 
-def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i*h*t) for Hermitian h via eigendecomposition."""
+def expm_hermitian(h: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """exp(-i*h*t) for Hermitian h via eigendecomposition.
+
+    h may be one (d, d) matrix or a (..., d, d) stack, decomposed by a
+    single eigh call.  t is a scalar or an array that broadcasts against
+    h.shape[:-2]; the result has shape broadcast(h.shape[:-2], t.shape)
+    + (d, d).  Each matrix of the result equals the one that a separate
+    call on that matrix and time would return, bit for bit.
+    """
     evals, evecs = np.linalg.eigh(h)
-    return (evecs * np.exp(-1.0j * evals * t)) @ evecs.conj().T
+    phases = np.exp(-1.0j * evals * np.asarray(t)[..., None])
+    return (evecs * phases[..., None, :]) @ np.swapaxes(evecs.conj(), -1, -2)
 
 
 def _evolve(mat: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return u @ mat @ u.conj().T
+    return u @ mat @ np.swapaxes(u.conj(), -1, -2)
 
 
 def propagate(state: DensityState, ham: HamiltonianSpec, t: float) -> DensityState:
@@ -287,11 +295,12 @@ def ou_trajectory(noise: OUNoiseModel, n_steps: int, dt: float, rng: np.random.G
     """Exactly discretized stationary OU path, one value per sub-step."""
     decay = np.exp(-dt / noise.tau_c_s)
     diffuse = noise.sigma_b_gauss * np.sqrt(1.0 - decay**2)
+    z = rng.standard_normal(n_steps + 1)
     x = np.empty(n_steps)
-    x_cur = noise.sigma_b_gauss * rng.standard_normal()
+    x_cur = noise.sigma_b_gauss * z[0]
     for k in range(n_steps):
         x[k] = x_cur
-        x_cur = x_cur * decay + diffuse * rng.standard_normal()
+        x_cur = x_cur * decay + diffuse * z[k + 1]
     return x
 
 
@@ -313,11 +322,15 @@ def monte_carlo_propagate(
 
     The noise enters as a fluctuating common Sz field on the electronic
     spins.  Per-trajectory seeds derive deterministically from the master
-    seed, so results do not depend on evaluation order.
+    seed, so results do not depend on evaluation order.  Each time step
+    evolves the whole (trajectories, d, d) stack at once, through one
+    stacked expm_hermitian call.
     """
     if t < 0:
         raise ValueError("propagation time must be >= 0")
-    if noise.sigma_b_gauss == 0.0:
+    if ham.layout != state.layout:
+        raise LayoutError("Hamiltonian layout does not match state layout")
+    if noise.sigma_b_gauss == 0.0 or t == 0.0:
         return propagate(state, ham, t)
     n_steps = max(10, int(np.ceil(t / (noise.tau_c_s / 10.0))))
     dt = t / n_steps
@@ -325,13 +338,13 @@ def monte_carlo_propagate(
     sz_sum = ham._single("NV", "Sz") if "NV" in ham.layout else 0.0
     if "Xe" in ham.layout:
         sz_sum = sz_sum + ham._single("Xe", "Sz")
-    acc = np.zeros_like(state.matrix)
-    for traj in range(noise.trajectories):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(traj,)))
-        path = ou_trajectory(noise, n_steps, dt, rng)
-        mat = state.matrix
-        for k in range(n_steps):
-            h = h0 + ham.constants.gamma_e * path[k] * sz_sum
-            mat = _evolve(mat, expm_hermitian(h, dt))
-        acc = acc + mat
-    return DensityState(layout=state.layout, matrix=acc / noise.trajectories)
+    paths = np.stack([
+        ou_trajectory(noise, n_steps, dt, np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(traj,))))
+        for traj in range(noise.trajectories)
+    ])
+    mats = state.matrix
+    for k in range(n_steps):
+        h = h0 + ham.constants.gamma_e * paths[:, k, None, None] * sz_sum
+        mats = _evolve(mats, expm_hermitian(h, dt))
+    return DensityState(layout=state.layout, matrix=mats.sum(axis=0) / noise.trajectories)

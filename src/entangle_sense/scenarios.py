@@ -101,13 +101,10 @@ def run_fig1f(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
     psi0 = np.kron(plus, minus)
     rho0 = np.outer(psi0, psi0.conj())
     t_grid = np.linspace(0.0, 1.2 / d, 1201)
-    p_x = np.empty_like(t_grid)
-    p_nv = np.empty_like(t_grid)
-    for k, t in enumerate(t_grid):
-        u = expm_hermitian(h, t)
-        rho = u @ rho0 @ u.conj().T
-        p_x[k] = np.real(np.trace(rho @ sx_x)) * 2.0
-        p_nv[k] = np.real(np.trace(rho @ sx_nv)) * 2.0
+    u = expm_hermitian(h, t_grid)
+    rho = u @ rho0 @ np.swapaxes(u.conj(), -1, -2)
+    p_x = np.real(np.trace(rho @ sx_x, axis1=-2, axis2=-1)) * 2.0
+    p_nv = np.real(np.trace(rho @ sx_nv, axis1=-2, axis2=-1)) * 2.0
     k_star = int(np.argmax(p_x))
     # parabolic refinement of the transfer-time estimate
     if 0 < k_star < len(t_grid) - 1:

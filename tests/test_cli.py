@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 import entangle_sense
 from entangle_sense.cli import main
-from entangle_sense.config import ConfigError, DEFAULTS, resolve, validate
+from entangle_sense.config import SCENARIOS, ConfigError, DEFAULTS, resolve, validate
 
 
 def _run(argv):
@@ -122,3 +123,43 @@ def test_defaults_pass_validation():
     data = json.loads(json.dumps(DEFAULTS))
     data["scenario"] = "fig2a"
     assert validate(data) == []
+
+
+# sha256 over the non-meta CSV/JSON outputs of all ten scenarios at seed 0
+# with the default config, in file-name order (the digest in ROADMAP.md)
+SEED0_DIGEST = "d99da458023874264d707c36656d0f1ad1db3045e2988f71066c2ae1daa0ec5f"
+
+
+def test_seed0_outputs_match_digest(tmp_path):
+    for scenario in SCENARIOS:
+        assert _run(["run", "--scenario", scenario, "--out", str(tmp_path), "--quiet"]) == 0
+    h = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        if path.suffix in (".csv", ".json") and not path.name.endswith(".meta.json"):
+            h.update(path.read_bytes())
+    assert h.hexdigest() == SEED0_DIGEST
+
+
+# configs that passed validation once and then crashed the scenario that reads them
+CRASHING_CONFIGS = {
+    "d_min_above_d_max": ("fig4c", {"sweep": {"d_min_hz": 2.0e5}}, "sweep.d_min_hz"),
+    "ratio_min_above_ratio_max": ("fig4c", {"sweep": {"ratio_min": 2.0}}, "sweep.ratio_min"),
+    "zero_gamma2_nv": ("fig4a", {"decoherence": {"gamma2_nv_hz": 0}}, "decoherence.gamma2_nv_hz"),
+    "zero_alpha0_nv": ("fig4c", {"decoherence": {"alpha0_nv": 0}}, "decoherence.alpha0_nv"),
+    "amplitude_sum_one": ("fig2d", {"readout": {"amplitude_sum": 1.0}}, "readout.amplitude_sum"),
+    "amplitude_sum_above_ladder": ("fig2d", {"readout": {"amplitude_sum": 11.0}}, "readout.amplitude_sum"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRASHING_CONFIGS))
+def test_crashing_config_exits_2(case, tmp_path, capsys):
+    scenario, override, path = CRASHING_CONFIGS[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(override))
+    assert _run(["validate", str(cfg)]) == 2
+    assert path in capsys.readouterr().out
+    rc = _run(["run", "--scenario", scenario, "--config", str(cfg), "--out", str(tmp_path), "--quiet"])
+    assert rc == 2
+    assert path in capsys.readouterr().err
+    assert not (tmp_path / f"{scenario}.csv").exists()
+

@@ -287,6 +287,104 @@ def test_monte_carlo_convergence_in_trajectories():
     assert devs[1] < devs[0]
 
 
+def _reference_expm(h, t):
+    evals, evecs = np.linalg.eigh(h)
+    return (evecs * np.exp(-1.0j * evals * t)) @ evecs.conj().T
+
+
+def _reference_ou_path(noise, n_steps, dt, rng):
+    # one scalar draw per value, as the path was first written
+    decay = np.exp(-dt / noise.tau_c_s)
+    diffuse = noise.sigma_b_gauss * np.sqrt(1.0 - decay**2)
+    x = np.empty(n_steps)
+    x_cur = noise.sigma_b_gauss * rng.standard_normal()
+    for k in range(n_steps):
+        x[k] = x_cur
+        x_cur = x_cur * decay + diffuse * rng.standard_normal()
+    return x
+
+
+def _driven_pair():
+    return HamiltonianSpec(
+        layout=TWO,
+        drives={
+            "NV": DriveTerm(rabi=2 * np.pi * 3e5, phase=0.3),
+            "Xe": DriveTerm(rabi=2 * np.pi * 2e5, detuning=1e4),
+        },
+        coupling_hz=40e3,
+    )
+
+
+def test_ou_trajectory_matches_scalar_draws():
+    noise = OUNoiseModel(sigma_b_gauss=0.01, tau_c_s=4e-6)
+    for seed in range(5):
+        got = ou_trajectory(noise, 33, 0.3e-6, np.random.default_rng(seed))
+        ref = _reference_ou_path(noise, 33, 0.3e-6, np.random.default_rng(seed))
+        assert got.shape == (33,)
+        assert np.array_equal(got, ref)
+
+
+def test_expm_hermitian_stack_matches_single_calls():
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=(3, 5, 4, 4)) + 1j * rng.normal(size=(3, 5, 4, 4))
+    hs = a + np.swapaxes(a.conj(), -1, -2)
+    times = rng.uniform(0.0, 2.0, size=5)
+    stacked = expm_hermitian(hs, 0.7)
+    timed = expm_hermitian(hs, times)
+    assert stacked.shape == timed.shape == (3, 5, 4, 4)
+    for i in range(3):
+        for j in range(5):
+            assert np.array_equal(stacked[i, j], expm_hermitian(hs[i, j], 0.7))
+            assert np.array_equal(timed[i, j], expm_hermitian(hs[i, j], times[j]))
+            assert np.array_equal(timed[i, j], _reference_expm(hs[i, j], times[j]))
+    grid = expm_hermitian(hs[0, 0], times)
+    assert grid.shape == (5, 4, 4)
+    for j in range(5):
+        assert np.array_equal(grid[j], _reference_expm(hs[0, 0], times[j]))
+
+
+def test_monte_carlo_matches_per_trajectory_reference():
+    from entangle_sense.spinsys import CONSTANTS
+
+    rho = _random_state(11)
+    ham = _driven_pair()
+    noise = OUNoiseModel(sigma_b_gauss=0.01, tau_c_s=4e-6, trajectories=16)
+    t, seed = 13e-6, 5
+    out = monte_carlo_propagate(rho, ham, t, noise, seed)
+    # one trajectory at a time, one 4x4 exponential per step
+    n_steps = max(10, int(np.ceil(t / (noise.tau_c_s / 10.0))))
+    dt = t / n_steps
+    h0 = ham.assemble()
+    sz_sum = build_operator(TWO, {"NV": "Sz", "Xe": "I"}).matrix + build_operator(
+        TWO, {"NV": "I", "Xe": "Sz"}
+    ).matrix
+    acc = np.zeros_like(rho.matrix)
+    for traj in range(noise.trajectories):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(traj,)))
+        path = _reference_ou_path(noise, n_steps, dt, rng)
+        mat = rho.matrix
+        for k in range(n_steps):
+            u = _reference_expm(h0 + CONSTANTS.gamma_e * path[k] * sz_sum, dt)
+            mat = u @ mat @ u.conj().T
+        acc = acc + mat
+    assert np.array_equal(out.matrix, acc / noise.trajectories)
+
+
+def test_monte_carlo_rejects_layout_mismatch_with_noise():
+    rho = pure_state(layout("Xe", "NV"), np.array([1.0, 0.0, 0.0, 1.0]))
+    ham = HamiltonianSpec(layout=TWO, coupling_hz=58e3)
+    noise = OUNoiseModel(sigma_b_gauss=2e-3, tau_c_s=5e-6, trajectories=4)
+    with pytest.raises(LayoutError):
+        monte_carlo_propagate(rho, ham, 20e-6, noise, seed=0)
+
+
+def test_monte_carlo_zero_time_returns_state_unchanged():
+    rho = _random_state(12)
+    noise = OUNoiseModel(sigma_b_gauss=2e-3, tau_c_s=5e-6, trajectories=8)
+    out = monte_carlo_propagate(rho, _driven_pair(), 0.0, noise, seed=0)
+    assert np.array_equal(out.matrix, rho.matrix)
+
+
 def test_field_model_validation():
     with pytest.raises(ValueError):
         FieldModel(amplitude_gauss=0.1, frequency_hz=-5.0)
