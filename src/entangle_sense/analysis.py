@@ -23,7 +23,7 @@ import numpy as np
 from .dynamics import DecoherenceEnvelope
 from .protocols import NuclearFactor
 from .readout import geometric_ratio_for_gain, snr_gain
-from .spinsys import CONSTANTS
+from .spinsys import CONSTANTS, InfeasibleError
 
 F_HAT_ECHO = 2.0 / np.pi
 
@@ -372,7 +372,7 @@ def min_field(alpha: float, nu_slope: float, sigma_s: float) -> float:
     """Smallest resolvable field: sigma_S / |alpha * nu_slope|."""
     slope = alpha * nu_slope
     if slope == 0:
-        raise ValueError("zero signal slope; field not resolvable")
+        raise InfeasibleError("zero signal slope; field not resolvable")
     return abs(sigma_s / slope)
 
 
@@ -465,38 +465,6 @@ def snr_bound_check(report: SensitivityReport) -> tuple[bool, list[str]]:
 # Parameter-space sweep
 
 
-def _max_gain_cell(
-    d_hz: float,
-    ratio: float,
-    tau_grid: np.ndarray,
-    snr_ladder: np.ndarray,
-    alpha0_nv: float,
-    alpha0_two: float,
-    gamma2_nv_hz: float,
-    p: float,
-    tau_nv_s: float,
-    tau_phi_exp_s: float,
-    d_exp_hz: float,
-    tau_rr_s: float,
-    use_rr: bool,
-) -> float:
-    gamma2_two = gamma2_nv_hz * (1.0 + ratio)
-    amp_ratio = (alpha0_two / alpha0_nv) * np.exp(
-        (gamma2_nv_hz * tau_grid) ** p - (gamma2_two * tau_grid) ** p
-    )
-    g = 2.0 * amp_ratio  # q = 1: nuclear factor unity
-    tau_phi = tau_phi_exp_s * (d_exp_hz / d_hz)
-    useful = tau_grid + tau_nv_s
-    if not use_rr:
-        h = np.sqrt(useful / (useful + tau_phi))
-        return float(np.max(g * h))
-    m = np.arange(len(snr_ladder))
-    extra = np.maximum(m - 1, 0)[:, None] * tau_rr_s
-    h = np.sqrt(useful[None, :] / (useful[None, :] + tau_phi + extra))
-    snr = np.sqrt(np.cumsum(snr_ladder**2) / snr_ladder[0] ** 2)
-    return float(np.max(snr[:, None] * g[None, :] * h))
-
-
 def sweep_gain_map(
     d_axis_hz: Sequence[float],
     ratio_axis: Sequence[float],
@@ -516,7 +484,12 @@ def sweep_gain_map(
 
     The two-spin preparation time scales inversely with the coupling; the
     two-spin decoherence rate is additive, Gamma2 = Gamma2_NV * (1 +
-    ratio); nuclear polarization q = 1 throughout.
+    ratio); nuclear polarization q = 1 throughout.  The cell gain is
+    g(ratio, tau) * SNR-gain(m) * h(d, tau, m), maximized over tau, and
+    over m with repetitive readout (m = 0 without).  g is computed once
+    for all ratios and h once per coupling; with repetitive readout the
+    (m, tau) product is formed one ratio at a time, which keeps the
+    sweep's memory to a few (m, tau) arrays.
 
     The repetitive-readout ladder is one of three readout-ladder models,
     each chosen for what its figure needs:
@@ -533,14 +506,26 @@ def sweep_gain_map(
     ladder_ratio = geometric_ratio_for_gain(1.91, 9)
     ladder = ladder_ratio ** np.arange(m_max + 1)
     tau_grid = np.geomspace(1e-6, 5.0 / gamma2_nv_hz, tau_points)
+    gamma2_two = gamma2_nv_hz * (1.0 + ratios)
+    amp_ratio = (alpha0_two / alpha0_nv) * np.exp(
+        (gamma2_nv_hz * tau_grid) ** p - (gamma2_two[:, None] * tau_grid) ** p
+    )
+    g = 2.0 * amp_ratio  # (ratio, tau); q = 1: nuclear factor unity
+    useful = tau_grid + tau_nv_s
+    if use_repetitive_readout:
+        extra = np.maximum(np.arange(m_max + 1) - 1, 0)[:, None] * tau_rr_s
+        snr = snr_gain(ladder)[:, None]
+    else:
+        extra = 0.0  # a single readout: no repetition dead time
     values = np.empty((len(ratios), len(d_axis)))
-    for i, ratio in enumerate(ratios):
-        for j, d in enumerate(d_axis):
-            values[i, j] = _max_gain_cell(
-                d, ratio, tau_grid, ladder, alpha0_nv, alpha0_two,
-                gamma2_nv_hz, p, tau_nv_s, tau_phi_exp_s, d_exp_hz, tau_rr_s,
-                use_rr=use_repetitive_readout,
-            )
+    for j, d in enumerate(d_axis):
+        tau_phi = tau_phi_exp_s * (d_exp_hz / d)
+        h = np.sqrt(useful / (useful + tau_phi + extra))
+        if not use_repetitive_readout:
+            values[:, j] = (g * h).max(axis=1)
+            continue
+        for i in range(len(ratios)):
+            values[i, j] = np.max(snr * g[i] * h)
     return SweepGrid(
         d_axis_hz=d_axis,
         ratio_axis=ratios,
@@ -568,7 +553,7 @@ def unity_crossing(x: np.ndarray, y: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     below = np.nonzero(y < 1.0)[0]
     if len(below) == 0 or below[0] == 0:
-        raise ValueError("curve does not cross unity from above on this grid")
+        raise InfeasibleError("curve does not cross unity from above on this grid")
     k = below[0]
     x0, x1, y0, y1 = x[k - 1], x[k], y[k - 1], y[k]
     return float(x0 + (1.0 - y0) * (x1 - x0) / (y1 - y0))
@@ -600,7 +585,7 @@ def required_amplitude_ratio_scale(
     )
     peak = float(np.max(g * h))
     if peak <= 0:
-        raise ValueError("gain profile is degenerate")
+        raise InfeasibleError("gain profile is degenerate")
     return 1.0 / peak
 
 

@@ -5,8 +5,11 @@
 (summary), and `<out>/<scenario>.meta.json` (run record).  Identical
 (config, seed) pairs produce byte-identical CSV/JSON.
 
-Exit codes: 0 success, 2 config parse/validation failure, 3 one or more
-fits failed to converge (partial outputs are still written).
+Exit codes: 0 success; 2 config parse/validation failure; 3 one or more
+fits failed to converge (the outputs are still written), or a valid
+config admits no solution, such as an unreachable calibration target or
+a gain curve that never crosses unity (nothing is written; one stderr
+line names the scenario and the config keys behind the failing inputs).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from . import __version__
 from .analysis import write_curve_csv
 from .config import MISSING_SCENARIO, SCENARIOS, ConfigError, resolve
 from .scenarios import SCENARIO_RUNNERS
+from .spinsys import InfeasibleError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,7 +89,12 @@ def _run(args: argparse.Namespace) -> int:
 
     rng = np.random.default_rng(int(cfg["run.seed"]))
     started = time.time()
-    columns, summary = SCENARIO_RUNNERS[scenario](cfg, rng)
+    try:
+        columns, summary = SCENARIO_RUNNERS[scenario](cfg, rng)
+    except InfeasibleError as exc:
+        keys = ", ".join(exc.config_keys) or "config"
+        print(f"error: {scenario}: {keys}: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     elapsed = time.time() - started
 
     csv_path = out_dir / f"{scenario}.csv"

@@ -284,9 +284,9 @@ def driven_decay(state: DensityState, model: DrivenDecayModel, t: float, block: 
     p[i, i] = p[j, j] = 1.0
     q = np.eye(dim) - p
     mat = state.matrix
-    block_trace = mat[i, i] + mat[j, j]
+    block_trace = mat[..., i, i] + mat[..., j, j]
     fixed = np.zeros_like(mat)
-    fixed[i, i] = fixed[j, j] = block_trace / 2.0
+    fixed[..., i, i] = fixed[..., j, j] = block_trace / 2.0
     collapsed = fixed + q @ mat @ q
     return DensityState(layout=state.layout, matrix=f * mat + (1.0 - f) * collapsed)
 

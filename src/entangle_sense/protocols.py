@@ -30,6 +30,7 @@ from scipy import integrate
 from .spinsys import (
     CONSTANTS,
     DensityState,
+    InfeasibleError,
     LayoutError,
     build_operator,
     layout,
@@ -106,16 +107,22 @@ class NuclearFactor:
 # Effective gate algebra
 
 
-def exchange_unitary(theta: float, phase: float, block: str) -> np.ndarray:
-    """Rotation by theta inside one exchange subspace of the (NV, Xe) pair."""
+def exchange_unitary(theta: float, phase: float | np.ndarray, block: str) -> np.ndarray:
+    """Rotation by theta inside one exchange subspace of the (NV, Xe) pair.
+
+    phase may be an array; the result then has shape phase.shape + (4, 4),
+    one unitary per phase.
+    """
     if block not in EXCHANGE_BLOCKS:
         raise ValueError(f"unknown exchange block {block!r}")
     i, j = EXCHANGE_BLOCKS[block]
-    u = np.eye(4, dtype=complex)
+    phase = np.asarray(phase)
+    u = np.zeros(phase.shape + (4, 4), dtype=complex)
+    u[..., range(4), range(4)] = 1.0
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    u[i, i] = u[j, j] = c
-    u[i, j] = -1.0j * np.exp(1.0j * phase) * s
-    u[j, i] = -1.0j * np.exp(-1.0j * phase) * s
+    u[..., i, i] = u[..., j, j] = c
+    u[..., i, j] = -1.0j * np.exp(1.0j * phase) * s
+    u[..., j, i] = -1.0j * np.exp(-1.0j * phase) * s
     return u
 
 
@@ -132,14 +139,17 @@ def apply_exchange_gate(
     params: GateParams,
     duration: float,
     block: str,
-    phase: float = 0.0,
+    phase: float | np.ndarray = 0.0,
 ) -> DensityState:
-    """Exchange rotation + driven-decay damping + depolarizing error."""
+    """Exchange rotation + driven-decay damping + depolarizing error.
+
+    An array of phases gives a stack of output states, one per phase.
+    """
     if state.layout != TWO_SPIN_LAYOUT:
         raise LayoutError("exchange gates act on the (NV, Xe) pair")
     theta = 2.0 * np.pi * params.d_hz * duration
     u = exchange_unitary(theta, phase, block)
-    out = DensityState(state.layout, u @ state.matrix @ u.conj().T)
+    out = DensityState(state.layout, u @ state.matrix @ np.swapaxes(u.conj(), -1, -2))
     if params.t1rho_s is not None:
         out = driven_decay(out, DrivenDecayModel(params.t1rho_s), duration, block=block)
     return _depolarize(out, params.epsilon)
@@ -228,7 +238,7 @@ def prepare_entangled(state: DensityState, params: GateParams, phase: float = 0.
     return apply_exchange_gate(state, params, params.entangle_time, block="dq", phase=phase)
 
 
-def disentangle(state: DensityState, params: GateParams, phase: float = 0.0) -> DensityState:
+def disentangle(state: DensityState, params: GateParams, phase: float | np.ndarray = 0.0) -> DensityState:
     """Half-exchange gate converting Bell-block coherence back to populations."""
     return apply_exchange_gate(state, params, params.entangle_time, block="dq", phase=phase)
 
@@ -244,17 +254,13 @@ def modulated_disentangle_scan(
 
     The pulse phases of the disentangling gate ramp at f_nv and f_x; on
     the double-quantum block they add, so the signal oscillates at the
-    sum frequency.
+    sum frequency.  All scan points go through one stacked gate.
     """
     if f_nv_hz < 0 or f_x_hz < 0:
         raise ValueError("modulation frequencies must be >= 0")
     p0_nv = build_operator(TWO_SPIN_LAYOUT, {"NV": "P0", "Xe": "I"})
-    signal = np.empty(len(t_grid))
-    for k, t in enumerate(np.asarray(t_grid, dtype=float)):
-        phase = 2.0 * np.pi * (f_nv_hz + f_x_hz) * t
-        out = disentangle(rho_phi, params, phase=phase)
-        signal[k] = float(out.expectation(p0_nv))
-    return signal
+    phase = 2.0 * np.pi * (f_nv_hz + f_x_hz) * np.asarray(t_grid, dtype=float)
+    return disentangle(rho_phi, params, phase=phase).expectation(p0_nv)
 
 
 def dominant_frequency(t_grid: np.ndarray, signal: np.ndarray) -> float:
@@ -344,14 +350,23 @@ def calibrate_gate_error(
     The (pump efficiency, gate error) pair is not identifiable from a
     single transfer point, so the pump efficiency is pinned and epsilon
     is found by root-bracketing on the simulated one-round X
-    polarization.
+    polarization.  Raises InfeasibleError when no epsilon in [0, 0.5]
+    reaches the target.
     """
     from scipy.optimize import brentq
 
+    @lru_cache(maxsize=None)  # brentq re-evaluates the two bracket ends
     def residual(eps: float) -> float:
         params = GateParams(d_hz=d_hz, epsilon=eps, t1rho_s=t1rho_s)
         _, trace = polarization_transfer(1, pump_efficiency, params, initial_x_polarization)
         return trace[1] - p1_target
 
+    ends = (residual(0.0), residual(0.5))
+    if ends[0] * ends[1] > 0:
+        low, high = sorted(r + p1_target for r in ends)
+        raise InfeasibleError(
+            f"one-round X polarization {p1_target} is outside the range "
+            f"[{low:.4g}, {high:.4g}] that gate errors in [0, 0.5] reach"
+        )
     eps = brentq(residual, 0.0, 0.5, xtol=1e-12)
     return GateParams(d_hz=d_hz, epsilon=float(eps), t1rho_s=t1rho_s)

@@ -14,6 +14,8 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import brentq, fsolve
 
+from .spinsys import InfeasibleError
+
 
 def snr_gain(amplitudes: Sequence[float], sigmas: Sequence[float] | None = None) -> np.ndarray:
     """Cumulative SNR gain over readouts 0..m, normalized to readout 0.
@@ -46,6 +48,7 @@ def calibrate_ladder(
 
     Matches sum_k a_k = amplitude_sum and the cumulative SNR gain at the
     last readout simultaneously (2-D root find with bracketing refinement).
+    Raises InfeasibleError when no stretched ladder matches both.
     """
     if amplitude_sum <= 1.0 or amplitude_sum > m + 1:
         raise ValueError("amplitude sum must lie in (1, m + 1]")
@@ -58,9 +61,13 @@ def calibrate_ladder(
         g = np.sqrt(np.sum(a**2))
         return np.array([np.sum(a) - amplitude_sum, g - snr_at_m])
 
-    sol, info, ier, msg = fsolve(equations, x0=np.array([m / 2.0, 2.0]), full_output=True)
-    if ier != 1 or np.max(np.abs(info["fvec"])) > 1e-9:
-        raise RuntimeError(f"ladder calibration failed: {msg}")
+    sol, info, ier, _ = fsolve(equations, x0=np.array([m / 2.0, 2.0]), full_output=True)
+    residual = np.max(np.abs(info["fvec"]))
+    if ier != 1 or residual > 1e-9:
+        raise InfeasibleError(
+            f"no stretched ladder has amplitude sum {amplitude_sum} and SNR gain "
+            f"{snr_at_m} at m = {m} (root-find residual {residual:.2e})"
+        )
     k0, s = float(sol[0]), float(sol[1])
     return k0, s
 

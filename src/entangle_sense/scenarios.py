@@ -9,7 +9,8 @@ per point.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -50,11 +51,25 @@ from .protocols import (
     verify_phase_recipes,
 )
 from .readout import calibrate_ladder, snr_gain, stretched_ladder
-from .spinsys import bell_coherence, build_operator, polarized_state
+from .spinsys import InfeasibleError, bell_coherence, build_operator, polarized_state
 
 # Reconstructed per-readout amplitude ladder for the repetitive-readout
 # gain figure (normalized to the direct readout; digitized working point).
 FIG4B_LADDER = np.array([1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.30, 0.20])
+
+# the two-spin amplitude vanishes at alpha0 = 0 and underflows at a large
+# gamma2; either leaves the fig4 gain curves without a solution
+TWO_SPIN_AMPLITUDE_KEYS = ("decoherence.alpha0_two_spin", "decoherence.gamma2_two_spin_hz")
+
+
+@contextmanager
+def _config_keys(*keys: str) -> Iterator[None]:
+    """Name the config parameters behind an InfeasibleError raised inside."""
+    try:
+        yield
+    except InfeasibleError as exc:
+        exc.config_keys = keys
+        raise
 
 
 def _noise_sigma(cfg: ScenarioConfig) -> float:
@@ -62,13 +77,14 @@ def _noise_sigma(cfg: ScenarioConfig) -> float:
 
 
 def _gate_params(cfg: ScenarioConfig) -> GateParams:
-    return calibrate_gate_error(
-        p1_target=cfg["calibration.one_round_x_polarization"],
-        pump_efficiency=cfg["pump.efficiency"],
-        d_hz=cfg["coupling.d_hz"],
-        t1rho_s=cfg["coupling.t1rho_s"],
-        initial_x_polarization=cfg["calibration.initial_x_polarization"],
-    )
+    with _config_keys("calibration.one_round_x_polarization"):
+        return calibrate_gate_error(
+            p1_target=cfg["calibration.one_round_x_polarization"],
+            pump_efficiency=cfg["pump.efficiency"],
+            d_hz=cfg["coupling.d_hz"],
+            t1rho_s=cfg["coupling.t1rho_s"],
+            initial_x_polarization=cfg["calibration.initial_x_polarization"],
+        )
 
 
 def _envelopes(cfg: ScenarioConfig) -> tuple[DecoherenceEnvelope, DecoherenceEnvelope]:
@@ -246,7 +262,8 @@ def run_fig2c(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
 def run_fig2d(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict]:
     """Repetitive-readout amplitude ladder and cumulative SNR gain."""
     m_max = int(cfg["readout.m_max"])
-    k0, s = calibrate_ladder(cfg["readout.amplitude_sum"], cfg["readout.snr_at_m"], m_max)
+    with _config_keys("readout.amplitude_sum", "readout.snr_at_m"):
+        k0, s = calibrate_ladder(cfg["readout.amplitude_sum"], cfg["readout.snr_at_m"], m_max)
     ladder = stretched_ladder(k0, s, m_max)
     gains = snr_gain(ladder)
     columns = {
@@ -352,7 +369,9 @@ def run_fig4a(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
             for t in tau_grid
         ]
     )
-    scale = required_amplitude_ratio_scale(env_nv, env_two, polarized, budget)
+    with _config_keys(*TWO_SPIN_AMPLITUDE_KEYS):
+        scale = required_amplitude_ratio_scale(env_nv, env_two, polarized, budget)
+        crossing = unity_crossing(tau_grid, g_q1)
     columns = {
         "tau[s]": tau_grid,
         "gain_performance_q1[1]": g_q1,
@@ -361,7 +380,7 @@ def run_fig4a(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
         "gain_sensitivity_q0[1]": g_q0 * h,
     }
     summary = {
-        "unity_crossing_tau_s": unity_crossing(tau_grid, g_q1),
+        "unity_crossing_tau_s": crossing,
         "max_gain_q0": float(np.max(g_q0)),
         "max_gain_q1": float(np.max(g_q1)),
         "required_two_spin_amplitude_scale_for_unit_sensitivity": scale,
@@ -387,10 +406,11 @@ def run_fig4b(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
     columns: dict[str, np.ndarray] = {"m[1]": m_values.astype(float), "amplitude[1]": ladder}
     for tag, q in (("q0", 0.0), ("q1", 1.0)):
         factor = NuclearFactor(q, 1)
-        reports = [
-            gain_sensitivity(tau, env_nv, env_two, factor, budget, ladder, int(m))
-            for m in m_values
-        ]
+        with _config_keys(*TWO_SPIN_AMPLITUDE_KEYS):
+            reports = [
+                gain_sensitivity(tau, env_nv, env_two, factor, budget, ladder, int(m))
+                for m in m_values
+            ]
         g_tilde = np.array([r.g_tilde for r in reports])
         g_rr = np.array([r.g * r.snr_gain for r in reports])
         columns[f"gain_sensitivity_{tag}[1]"] = g_tilde

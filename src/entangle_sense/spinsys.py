@@ -44,6 +44,17 @@ class StateError(ValueError):
     """Raised when a density matrix violates its invariants."""
 
 
+class InfeasibleError(ValueError):
+    """Raised when valid inputs admit no solution.
+
+    A calibration target out of reach, a gain curve that never crosses
+    unity, a signal without slope.  ``config_keys`` names the config
+    parameters behind the inputs, once a scenario has attached them.
+    """
+
+    config_keys: tuple[str, ...] = ()
+
+
 @dataclass(frozen=True)
 class SpinLayout:
     """Ordered collection of distinct spin-1/2 subsystem labels."""
@@ -120,14 +131,18 @@ class Operator:
 
 @dataclass(frozen=True)
 class DensityState:
-    """Unit-trace Hermitian positive matrix over a spin layout."""
+    """Unit-trace Hermitian positive matrix over a spin layout.
+
+    The matrix may also be a (..., d, d) stack of such matrices, one
+    state per element, validated together in one call.
+    """
 
     layout: SpinLayout
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
         mat = np.array(self.matrix, dtype=complex)
-        if mat.shape != (self.layout.dim, self.layout.dim):
+        if mat.shape[-2:] != (self.layout.dim, self.layout.dim):
             raise LayoutError(
                 f"matrix shape {mat.shape} does not match layout dim {self.layout.dim}"
             )
@@ -135,22 +150,33 @@ class DensityState:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    def expectation(self, op: Operator) -> float | complex:
+    def expectation(self, op: Operator) -> float | complex | np.ndarray:
+        """Tr(op rho): a float for a Hermitian op, else complex; an array for a stack."""
         if op.layout != self.layout:
             raise LayoutError("operator layout does not match state layout")
-        val = complex(np.trace(op.matrix @ self.matrix))
+        val = np.trace(op.matrix @ self.matrix, axis1=-2, axis2=-1)
+        if val.ndim == 0:
+            val = complex(val)
         return val.real if op.hermitian else val
 
 
 def validate_density_matrix(mat: np.ndarray) -> None:
-    """Check trace, Hermiticity, and positivity; raise StateError on violation."""
-    tr = complex(np.trace(mat))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise StateError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
-    herm_dev = np.max(np.abs(mat - mat.conj().T))
+    """Check trace, Hermiticity, and positivity; raise StateError on violation.
+
+    mat is one (d, d) matrix or a (..., d, d) stack; each invariant is
+    checked for the whole stack at once (one eigvalsh call), and the
+    error reports the worst matrix.
+    """
+    tr = np.trace(mat, axis1=-2, axis2=-1)
+    tr_dev = np.abs(tr - 1.0)
+    if np.max(tr_dev, initial=0.0) > TRACE_TOL:
+        worst = complex(np.ravel(tr)[np.argmax(tr_dev)])
+        raise StateError(f"trace {worst} deviates from 1 beyond {TRACE_TOL}")
+    adjoint = np.swapaxes(mat.conj(), -1, -2)
+    herm_dev = np.max(np.abs(mat - adjoint), initial=0.0)
     if herm_dev > HERMITICITY_TOL:
         raise StateError(f"Hermiticity deviation {herm_dev:.3e} beyond {HERMITICITY_TOL}")
-    min_eig = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0).min())
+    min_eig = float(np.linalg.eigvalsh((mat + adjoint) / 2.0).min(initial=np.inf))
     if min_eig < -POSITIVITY_TOL:
         raise StateError(f"minimum eigenvalue {min_eig:.3e} below -{POSITIVITY_TOL}")
 
@@ -199,12 +225,13 @@ def pure_state(lay: SpinLayout, amplitudes: np.ndarray) -> DensityState:
     return DensityState(layout=lay, matrix=np.outer(vec, vec.conj()))
 
 
-def bell_coherence(state: DensityState) -> complex:
-    """The <00|rho|11> matrix element of an (NV, Xe) state.
+def bell_coherence(state: DensityState) -> complex | np.ndarray:
+    """The <00|rho|11> matrix element of an (NV, Xe) state, per element of a stack.
 
     Its magnitude quantifies the usable two-spin coherence in the
     Bell-state block.
     """
     if state.layout.subsystems != ("NV", "Xe"):
         raise LayoutError(f"bell_coherence needs the (NV, Xe) pair, got {state.layout.subsystems}")
-    return complex(state.matrix[0, 3])
+    coherence = state.matrix[..., 0, 3]
+    return coherence if coherence.ndim else complex(coherence)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -292,6 +294,58 @@ def test_sweep_experimental_cell_flips_with_rr():
     rr = sweep_gain_map(d_axis, ratio_axis, use_repetitive_readout=True, tau_points=300)
     assert norr.cell(58e3, 15 / 22) < 1.0
     assert rr.cell(58e3, 15 / 22) > 1.0
+
+
+def _per_cell_sweep(d_axis, ratio_axis, use_rr, m_max, alpha0_nv=0.96, alpha0_two=0.78,
+                    gamma2_nv_hz=22.0e3, p=1.6, tau_nv_s=5.7e-6, tau_phi_exp_s=21.0e-6,
+                    d_exp_hz=58.0e3, tau_rr_s=6.1e-6, tau_points=600):
+    """Reference: the sweep evaluated one (ratio, coupling) cell at a time."""
+    ladder = geometric_ratio_for_gain(1.91, 9) ** np.arange(m_max + 1)
+    tau_grid = np.geomspace(1e-6, 5.0 / gamma2_nv_hz, tau_points)
+    values = np.empty((len(ratio_axis), len(d_axis)))
+    for i, ratio in enumerate(ratio_axis):
+        for j, d_hz in enumerate(d_axis):
+            gamma2_two = gamma2_nv_hz * (1.0 + ratio)
+            amp_ratio = (alpha0_two / alpha0_nv) * np.exp(
+                (gamma2_nv_hz * tau_grid) ** p - (gamma2_two * tau_grid) ** p
+            )
+            g = 2.0 * amp_ratio
+            tau_phi = tau_phi_exp_s * (d_exp_hz / d_hz)
+            useful = tau_grid + tau_nv_s
+            if not use_rr:
+                h = np.sqrt(useful / (useful + tau_phi))
+                values[i, j] = float(np.max(g * h))
+                continue
+            m = np.arange(len(ladder))
+            extra = np.maximum(m - 1, 0)[:, None] * tau_rr_s
+            h = np.sqrt(useful[None, :] / (useful[None, :] + tau_phi + extra))
+            snr = np.sqrt(np.cumsum(ladder**2) / ladder[0] ** 2)
+            values[i, j] = float(np.max(snr[:, None] * g[None, :] * h))
+    return values
+
+
+@pytest.mark.parametrize("use_rr", [False, True])
+@pytest.mark.parametrize("m_max", [0, 1, 30])
+def test_sweep_matches_per_cell_reference(use_rr, m_max):
+    d_axis = np.linspace(30e3, 150e3, 7)
+    ratio_axis = np.linspace(0.1, 1.4, 5)
+    grid = sweep_gain_map(d_axis, ratio_axis, use_repetitive_readout=use_rr, m_max=m_max)
+    assert grid.values.shape == (5, 7)
+    assert np.array_equal(grid.values, _per_cell_sweep(d_axis, ratio_axis, use_rr, m_max))
+
+
+def test_sweep_peak_memory_stays_small():
+    # the sweep builds one (m, tau) product per ratio; a (ratio, m, tau) or
+    # (coupling, m, tau) stack at this size would trace 6-12 MB
+    d_axis = np.linspace(30e3, 150e3, 40)
+    ratio_axis = np.linspace(0.1, 1.4, 40)
+    tracemalloc.start()
+    try:
+        sweep_gain_map(d_axis, ratio_axis, use_repetitive_readout=True, m_max=30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_required_amplitude_scale_reported():

@@ -163,3 +163,31 @@ def test_crashing_config_exits_2(case, tmp_path, capsys):
     assert path in capsys.readouterr().err
     assert not (tmp_path / f"{scenario}.csv").exists()
 
+
+
+# configs that validate but admit no solution: the scenario exits 3 and names the key
+INFEASIBLE_CONFIGS = {
+    "unreachable_one_round_polarization": (
+        "fig2a", {"calibration": {"one_round_x_polarization": 0.99}}, "calibration.one_round_x_polarization"),
+    "all_ones_ladder": ("fig2d", {"readout": {"amplitude_sum": 10}}, "readout.amplitude_sum"),
+    "unit_snr_gain": ("fig2d", {"readout": {"snr_at_m": 1.0}}, "readout.snr_at_m"),
+    "zero_two_spin_amplitude_fig4a": ("fig4a", {"decoherence": {"alpha0_two_spin": 0}}, "decoherence.alpha0_two_spin"),
+    "zero_two_spin_amplitude_fig4b": ("fig4b", {"decoherence": {"alpha0_two_spin": 0}}, "decoherence.alpha0_two_spin"),
+    "zero_two_spin_rate": ("fig4a", {"decoherence": {"gamma2_two_spin_hz": 0}}, "decoherence.gamma2_two_spin_hz"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INFEASIBLE_CONFIGS))
+def test_infeasible_config_exits_3(case, tmp_path, capsys):
+    scenario, override, path = INFEASIBLE_CONFIGS[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(override))
+    assert _run(["validate", str(cfg)]) == 0
+    capsys.readouterr()
+    rc = _run(["run", "--scenario", scenario, "--config", str(cfg), "--out", str(tmp_path), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith(f"error: {scenario}: ") and err.count("\n") == 1
+    assert path in err
+    assert "Traceback" not in err
+    assert not (tmp_path / f"{scenario}.csv").exists()

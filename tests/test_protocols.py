@@ -8,6 +8,7 @@ from entangle_sense.protocols import (
     TWO_SPIN_LAYOUT,
     apply_exchange_gate,
     calibrate_gate_error,
+    disentangle,
     dominant_frequency,
     echo_sense,
     modulated_disentangle_scan,
@@ -17,7 +18,7 @@ from entangle_sense.protocols import (
     verify_phase_recipes,
     x_polarization,
 )
-from entangle_sense.spinsys import bell_coherence, layout, polarized_state, pure_state
+from entangle_sense.spinsys import bell_coherence, build_operator, layout, polarized_state, pure_state
 
 IDEAL = GateParams(d_hz=58e3)
 
@@ -126,6 +127,22 @@ def test_modulated_scan_sum_frequency_peak():
 
 # ---------------------------------------------------------------------------
 # sensing
+
+
+@pytest.mark.parametrize(
+    "params", [GateParams(d_hz=58e3, epsilon=0.03, t1rho_s=132e-6), GateParams(d_hz=58e3)]
+)
+def test_modulated_scan_matches_per_phase_gates(params):
+    state = optical_pump(polarized_state(TWO_SPIN_LAYOUT, {"NV": 0.2, "Xe": 0.7}), 0.8)
+    rho_phi = prepare_entangled(state, params)
+    t_grid = np.linspace(0.0, 40e-6, 161)
+    signal = modulated_disentangle_scan(rho_phi, 500e3, 250e3, t_grid, params)
+    p0_nv = build_operator(TWO_SPIN_LAYOUT, {"NV": "P0", "Xe": "I"})
+    reference = [
+        disentangle(rho_phi, params, phase=2.0 * np.pi * (500e3 + 250e3) * t).expectation(p0_nv)
+        for t in t_grid
+    ]
+    assert np.array_equal(signal, reference)
 
 
 def test_overlap_factor_phase_matched_echo():

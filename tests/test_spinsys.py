@@ -107,3 +107,54 @@ def test_polarized_states_are_valid(p1, p2):
     rho = polarized_state(layout("NV", "Xe"), {"NV": p1, "Xe": p2})
     validate_density_matrix(rho.matrix)
     assert np.trace(rho.matrix).real == pytest.approx(1.0)
+
+
+def _random_states(n, dim=4, seed=0):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
+    rho = a @ np.swapaxes(a.conj(), -1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
+
+
+def test_validate_stack_flags_one_bad_matrix():
+    good = _random_states(50)
+    validate_density_matrix(good)
+    validate_density_matrix(good.reshape(5, 10, 4, 4))
+    not_hermitian = good[37].copy()
+    not_hermitian[0, 1] += 1e-6
+    bad_matrices = {  # keyed by the invariant the error message names
+        "trace": 1.01 * good[37],
+        "Hermiticity": not_hermitian,
+        "minimum eigenvalue": np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex),
+    }
+    for invariant, bad in bad_matrices.items():
+        stack = good.copy()
+        stack[37] = bad
+        with pytest.raises(StateError, match=invariant):
+            validate_density_matrix(stack)
+        with pytest.raises(StateError):
+            DensityState(layout("NV", "Xe"), stack.reshape(5, 10, 4, 4))
+
+
+def test_stacked_state_reads_per_element():
+    pair = layout("NV", "Xe")
+    mats = _random_states(6, seed=1)
+    stack = DensityState(pair, mats)
+    ops = [
+        build_operator(pair, {"NV": "Sz", "Xe": "I"}),
+        build_operator(pair, {"NV": "S+", "Xe": "S+"}),
+    ]
+    for op in ops:
+        reference = [complex(np.trace(op.matrix @ m)) for m in mats]
+        if op.hermitian:
+            reference = [v.real for v in reference]
+        values = stack.expectation(op)
+        assert values.shape == (6,)
+        assert np.array_equal(values, reference)
+        single = DensityState(pair, mats[2]).expectation(op)
+        assert type(single) is type(reference[2]) and single == reference[2]
+    assert np.array_equal(bell_coherence(stack), mats[:, 0, 3])
+    single = bell_coherence(DensityState(pair, mats[2]))
+    assert type(single) is complex and single == mats[2, 0, 3]
+    with pytest.raises(LayoutError):
+        DensityState(pair, mats[..., :2, :2])
