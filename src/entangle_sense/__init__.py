@@ -19,7 +19,6 @@ from .dynamics import (  # noqa: F401
     DecoherenceEnvelope,
     DriveTerm,
     DrivenDecayModel,
-    FieldModel,
     HamiltonianSpec,
     OUNoiseModel,
     optical_pump,

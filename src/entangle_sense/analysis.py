@@ -346,18 +346,21 @@ def fit_stretched_exp(
     x0 = [a0_init, np.log(g_init)]
     if not fixed_p:
         x0.append(_p_inverse(p_init))
-    x, cov_t, rnorm, it, ok, msg = _lm_minimize(residual, jacobian, np.asarray(x0))
-    a0, g, p = unpack(x)
-    if abs(a0) < 1e-9:
-        ok, msg = False, "degenerate fit: vanishing amplitude"
-    # delta-method transform of the covariance to physical parameters
-    n_par = len(x)
-    tmat = np.eye(n_par)
-    tmat[1, 1] = g  # dgamma/du
-    if not fixed_p:
-        s_v = 1.0 / (1.0 + np.exp(-x[2]))
-        tmat[2, 2] = 2.5 * s_v * (1.0 - s_v)
-    cov = tmat @ cov_t @ tmat.T
+    # trial steps on a curve the model cannot follow overflow exp or take
+    # log(0); the inf/nan they give end as rejected steps or converged=False
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x, cov_t, rnorm, it, ok, msg = _lm_minimize(residual, jacobian, np.asarray(x0))
+        a0, g, p = unpack(x)
+        if abs(a0) < 1e-9:
+            ok, msg = False, "degenerate fit: vanishing amplitude"
+        # delta-method transform of the covariance to physical parameters
+        n_par = len(x)
+        tmat = np.eye(n_par)
+        tmat[1, 1] = g  # dgamma/du
+        if not fixed_p:
+            s_v = 1.0 / (1.0 + np.exp(-x[2]))
+            tmat[2, 2] = 2.5 * s_v * (1.0 - s_v)
+        cov = tmat @ cov_t @ tmat.T
     params = {"alpha0": float(a0), "gamma2_hz": float(g), "p": float(p)}
     if fixed_p:
         cov = np.pad(cov, ((0, 1), (0, 1)))
@@ -390,7 +393,10 @@ def gain_performance(
     """Fixed-shot-number gain: 2 * amplitude ratio * nuclear factor, <= 2."""
     if tau_s <= 0:
         raise ValueError("sensing time must be positive")
-    ratio = envelope_two.amplitude(tau_s) / envelope_nv.amplitude(tau_s)
+    a_nv = envelope_nv.amplitude(tau_s)
+    if a_nv == 0.0:
+        raise InfeasibleError(f"NV amplitude underflows to 0 at tau = {tau_s:.3g} s")
+    ratio = envelope_two.amplitude(tau_s) / a_nv
     return 2.0 * ratio * factor.amplitude_factor
 
 

@@ -36,22 +36,6 @@ EXCHANGE_BLOCKS = {"zq": (1, 2), "dq": (0, 3)}  # |01>, |10> and |00>, |11>
 
 
 @dataclass(frozen=True)
-class FieldModel:
-    """Sinusoidal or constant magnetic field along the quantization axis."""
-
-    amplitude_gauss: float = 0.0
-    frequency_hz: float = 0.0
-    phase_rad: float = 0.0
-    kind: str = "sinusoid"  # "sinusoid" | "constant"
-
-    def __post_init__(self) -> None:
-        if self.frequency_hz < 0:
-            raise ValueError("field frequency must be >= 0")
-        if self.kind not in ("sinusoid", "constant"):
-            raise ValueError(f"unknown field kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class DriveTerm:
     """Resonant microwave drive on one spin: Omega*(cos(phi)Sx + sin(phi)Sy) + delta*Sz."""
 
@@ -223,45 +207,6 @@ def optical_pump(state: DensityState, efficiency: float) -> DensityState:
     lifted = [lift(k) for k in kraus]
     out = sum(_evolve(state.matrix, k) for k in lifted)
     return DensityState(layout=lay, matrix=out)
-
-
-def _coherence_mask(lay: SpinLayout, basis: str, factor: float) -> np.ndarray:
-    """Elementwise decay mask selecting which off-diagonal entries shrink."""
-    n = lay.n_spins
-    dim = lay.dim
-    mask = np.ones((dim, dim))
-    bits = [[(idx >> (n - 1 - k)) & 1 for k in range(n)] for idx in range(dim)]
-    if basis == "double":
-        if not ("NV" in lay and "Xe" in lay):
-            raise LayoutError("double-quantum basis requires NV and Xe")
-        i_nv, i_xe = lay.index("NV"), lay.index("Xe")
-        for a in range(dim):
-            for b in range(dim):
-                if bits[a][i_nv] != bits[b][i_nv] and bits[a][i_xe] != bits[b][i_xe] and bits[a][i_nv] == bits[a][i_xe]:
-                    mask[a, b] = factor
-    else:
-        pos = lay.index(basis)
-        for a in range(dim):
-            for b in range(dim):
-                differs = bits[a][pos] != bits[b][pos]
-                others_same = all(bits[a][k] == bits[b][k] for k in range(n) if k != pos)
-                if differs and others_same:
-                    mask[a, b] = factor
-    return mask
-
-
-def apply_envelope(state: DensityState, env: DecoherenceEnvelope, basis: str, t: float) -> DensityState:
-    """Multiply the selected coherence block by exp(-(gamma2*t)**p).
-
-    basis: a subsystem label for its single-quantum coherences, or
-    "double" for the Bell (double-quantum) block.  Applied once per
-    contiguous sensing interval; populations are untouched.
-    """
-    if t < 0:
-        raise ValueError("duration must be >= 0")
-    factor = env.decay(t)
-    mask = _coherence_mask(state.layout, basis, factor)
-    return DensityState(layout=state.layout, matrix=state.matrix * mask)
 
 
 def driven_decay(state: DensityState, model: DrivenDecayModel, t: float, block: str = "zq") -> DensityState:

@@ -1,8 +1,7 @@
 """Exchange gates and the named protocol steps built from them.
 
 The steps are polarization transfer, entangling and disentangling, the
-phase-modulated disentangling scan, echo sensing of a field, and
-gate-error calibration.
+phase-modulated disentangling scan, and gate-error calibration.
 
 Gates derived from the cross-polarization sequence are applied as their
 dressed-frame effective unitaries expressed in the computational basis:
@@ -22,13 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .spinsys import (
-    CONSTANTS,
     DensityState,
     InfeasibleError,
     LayoutError,
@@ -38,12 +34,9 @@ from .spinsys import (
 )
 from .dynamics import (
     EXCHANGE_BLOCKS,
-    DecoherenceEnvelope,
     DriveTerm,
     DrivenDecayModel,
-    FieldModel,
     HamiltonianSpec,
-    apply_envelope,
     driven_decay,
     expm_hermitian,
     optical_pump,
@@ -271,71 +264,6 @@ def dominant_frequency(t_grid: np.ndarray, signal: np.ndarray) -> float:
     spectrum = np.abs(np.fft.rfft(y))
     freqs = np.fft.rfftfreq(len(y), dt)
     return float(freqs[np.argmax(spectrum)])
-
-
-def overlap_factor(
-    pi_fractions: Sequence[float],
-    tau: float,
-    field: FieldModel,
-) -> float:
-    """Overlap between the toggled echo modulation and the sinusoidal field.
-
-    f_hat = (1/tau) * |integral_0^tau s(t) sin(2 pi nu t + phi0) dt| with
-    s(t) = +-1 toggled at each pi-pulse time; adaptive quadrature per
-    toggling interval.  Phase-matched echo over one period gives 2/pi.
-    """
-    if tau <= 0:
-        raise ValueError("sensing duration must be positive")
-    times = sorted(float(f) * tau for f in pi_fractions)
-    if any(not 0.0 <= x <= tau for x in times):
-        raise ValueError("pi-pulse fractions must lie in [0, 1]")
-    edges = [0.0] + times + [tau]
-    if field.kind == "constant":
-        wave = lambda t: 1.0  # noqa: E731
-    else:
-        wave = lambda t: np.sin(2.0 * np.pi * field.frequency_hz * t + field.phase_rad)  # noqa: E731
-    total = 0.0
-    sign = 1.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b > a:
-            val, _ = integrate.quad(wave, a, b, epsabs=1e-14, epsrel=1e-12, limit=200)
-            total += sign * val
-        sign = -sign
-    return abs(total) / tau
-
-
-def echo_sense(
-    state: DensityState,
-    tau: float,
-    field: FieldModel,
-    targets: Sequence[str],
-    envelope: DecoherenceEnvelope | None = None,
-    pi_fractions: Sequence[float] = (0.5,),
-    constants=CONSTANTS,
-) -> DensityState:
-    """Phase accumulation and decoherence over one contiguous sensing window.
-
-    Each participating spin's coherence acquires phi = gamma_e * f_hat *
-    tau * b; the Bell block therefore accumulates twice the single-spin
-    phase.  The envelope, if given, is applied exactly once for the
-    whole window (stretched exponentials do not compose across splits).
-    """
-    if tau <= 0:
-        raise ValueError("sensing duration must be positive")
-    f_hat = overlap_factor(pi_fractions, tau, field)
-    phi = constants.gamma_e * f_hat * tau * field.amplitude_gauss
-    lay = state.layout
-    gen = np.zeros((lay.dim, lay.dim), dtype=complex)
-    for target in targets:
-        spec = {lbl: "I" for lbl in lay.subsystems}
-        spec[target] = "Sz"
-        gen += build_operator(lay, spec).matrix
-    u = expm_hermitian(gen, phi)
-    out = DensityState(lay, u @ state.matrix @ u.conj().T)
-    if envelope is not None:
-        basis = "double" if len(targets) == 2 else targets[0]
-        out = apply_envelope(out, envelope, basis, tau)
-    return out
 
 
 def calibrate_gate_error(

@@ -32,7 +32,6 @@ from .config import ScenarioConfig
 from .dynamics import (
     DecoherenceEnvelope,
     DriveTerm,
-    FieldModel,
     HamiltonianSpec,
     expm_hermitian,
     optical_pump,
@@ -43,7 +42,6 @@ from .protocols import (
     TWO_SPIN_LAYOUT,
     calibrate_gate_error,
     dominant_frequency,
-    echo_sense,
     modulated_disentangle_scan,
     nv_polarization,
     polarization_transfer,
@@ -58,8 +56,13 @@ from .spinsys import InfeasibleError, bell_coherence, build_operator, polarized_
 FIG4B_LADDER = np.array([1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.30, 0.20])
 
 # the two-spin amplitude vanishes at alpha0 = 0 and underflows at a large
-# gamma2; either leaves the fig4 gain curves without a solution
-TWO_SPIN_AMPLITUDE_KEYS = ("decoherence.alpha0_two_spin", "decoherence.gamma2_two_spin_hz")
+# gamma2, and the NV amplitude, the gain's divisor, underflows at a large
+# gamma2 too; each leaves the fig4 gain curves without a solution
+GAIN_AMPLITUDE_KEYS = (
+    "decoherence.alpha0_two_spin",
+    "decoherence.gamma2_two_spin_hz",
+    "decoherence.gamma2_nv_hz",
+)
 
 
 @contextmanager
@@ -218,26 +221,18 @@ def run_fig2c(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
     params = GateParams(d_hz=cfg["coupling.d_hz"])
     tau_grid = np.geomspace(2.0e-6, 120.0e-6, 40)
     sigma = _noise_sigma(cfg)
-    field = FieldModel(amplitude_gauss=0.0, frequency_hz=1.0e5)
 
-    # two-spin decay from the density-matrix chain: Bell coherence under
-    # a phase-free echo decohering at the summed single-spin rates
+    # two-spin decay: the Bell coherence of the gate chain times an envelope
+    # whose rate is set to the input sum gamma_NV + gamma_X, so fitting it
+    # back recovers that sum by construction rather than deriving it
     bell = prepare_entangled(polarized_state(TWO_SPIN_LAYOUT, {"NV": 1.0, "Xe": 1.0}), params)
+    coherence = bell_coherence(bell)
     env_sum = DecoherenceEnvelope(1.0, env_nv.gamma2_hz + gamma_x, p)
-    two_spin = np.array(
-        [
-            2.0
-            * abs(
-                bell_coherence(
-                    echo_sense(bell, tau, field, ("NV", "Xe"), envelope=env_sum)
-                )
-            )
-            for tau in tau_grid
-        ]
-    )
+    # scalar decay per tau on purpose: scalar ** is libm pow, array ** numpy's loop, 1 ulp apart
+    two_spin = np.array([2.0 * abs(coherence * env_sum.decay(tau)) for tau in tau_grid])
     curves = {
         "nv": env_nv.decay(tau_grid),
-        "x": np.exp(-((gamma_x * tau_grid) ** p)),
+        "x": DecoherenceEnvelope(1.0, gamma_x, p).decay(tau_grid),
         "two_spin": two_spin,
     }
     columns: dict[str, np.ndarray] = {"tau[s]": tau_grid}
@@ -359,8 +354,6 @@ def run_fig4a(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
     polarized = NuclearFactor(1.0, 1)
     unpolarized = NuclearFactor(0.0, 1)
     tau_grid = np.linspace(1.0e-6, 60.0e-6, 600)
-    g_q1 = np.array([gain_performance(t, env_nv, env_two, polarized) for t in tau_grid])
-    g_q0 = np.array([gain_performance(t, env_nv, env_two, unpolarized) for t in tau_grid])
     h = np.array(
         [
             overhead_factor(
@@ -369,7 +362,9 @@ def run_fig4a(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
             for t in tau_grid
         ]
     )
-    with _config_keys(*TWO_SPIN_AMPLITUDE_KEYS):
+    with _config_keys(*GAIN_AMPLITUDE_KEYS):
+        g_q1 = np.array([gain_performance(t, env_nv, env_two, polarized) for t in tau_grid])
+        g_q0 = np.array([gain_performance(t, env_nv, env_two, unpolarized) for t in tau_grid])
         scale = required_amplitude_ratio_scale(env_nv, env_two, polarized, budget)
         crossing = unity_crossing(tau_grid, g_q1)
     columns = {
@@ -406,7 +401,7 @@ def run_fig4b(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
     columns: dict[str, np.ndarray] = {"m[1]": m_values.astype(float), "amplitude[1]": ladder}
     for tag, q in (("q0", 0.0), ("q1", 1.0)):
         factor = NuclearFactor(q, 1)
-        with _config_keys(*TWO_SPIN_AMPLITUDE_KEYS):
+        with _config_keys(*GAIN_AMPLITUDE_KEYS):
             reports = [
                 gain_sensitivity(tau, env_nv, env_two, factor, budget, ladder, int(m))
                 for m in m_values

@@ -74,10 +74,6 @@ class SpinLayout:
     def dim(self) -> int:
         return 2 ** len(self.subsystems)
 
-    @property
-    def n_spins(self) -> int:
-        return len(self.subsystems)
-
     def index(self, label: str) -> int:
         try:
             return self.subsystems.index(label)

@@ -1,7 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import entangle_sense
 from entangle_sense.cli import main
@@ -174,6 +180,9 @@ INFEASIBLE_CONFIGS = {
     "zero_two_spin_amplitude_fig4a": ("fig4a", {"decoherence": {"alpha0_two_spin": 0}}, "decoherence.alpha0_two_spin"),
     "zero_two_spin_amplitude_fig4b": ("fig4b", {"decoherence": {"alpha0_two_spin": 0}}, "decoherence.alpha0_two_spin"),
     "zero_two_spin_rate": ("fig4a", {"decoherence": {"gamma2_two_spin_hz": 0}}, "decoherence.gamma2_two_spin_hz"),
+    "nv_amplitude_underflow_fig4a": ("fig4a", {"decoherence": {"gamma2_nv_hz": 1e9}}, "decoherence.gamma2_nv_hz"),
+    "nv_amplitude_underflow_fig4b": ("fig4b", {"decoherence": {"gamma2_nv_hz": 1e9}}, "decoherence.gamma2_nv_hz"),
+    "fast_nv_decay_never_crosses_unity": ("fig4a", {"decoherence": {"gamma2_nv_hz": 1e6}}, "decoherence.gamma2_nv_hz"),
 }
 
 
@@ -191,3 +200,102 @@ def test_infeasible_config_exits_3(case, tmp_path, capsys):
     assert path in err
     assert "Traceback" not in err
     assert not (tmp_path / f"{scenario}.csv").exists()
+
+
+# configs whose fig2c fits cannot converge: the one curve they break (flat,
+# gone before the first tau, or pure noise) drives the fitter into overflow
+NONCONVERGENT_FIT_CONFIGS = {
+    "p_at_lower_bound": {"decoherence": {"p": 0.5}},
+    "zero_x_rate": {"decoherence": {"gamma2_x_hz": 0}},
+    "x_rate_at_upper_bound": {"decoherence": {"gamma2_x_hz": 1e9}},
+    "tiny_nv_rate": {"decoherence": {"gamma2_nv_hz": 1e-9}},
+    "nv_rate_at_upper_bound": {"decoherence": {"gamma2_nv_hz": 1e9}},
+    "one_trajectory": {"run": {"trajectories": 1}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NONCONVERGENT_FIT_CONFIGS))
+def test_nonconvergent_fit_exits_3_without_warnings(case, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(NONCONVERGENT_FIT_CONFIGS[case]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = _run(["run", "--scenario", "fig2c", "--config", str(cfg), "--out", str(tmp_path), "--quiet"])
+    assert rc == 3
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert capsys.readouterr().err == ""
+
+
+# validate's range for each key; the sweep grid sizes are drawn small, as
+# their upper edges only add cells to fig4c and cost seconds per run
+CONFIG_RANGES = {
+    "coupling.d_hz": (1.0, 1e9),
+    "coupling.rabi_rad_per_s": (0.0, 1e12),
+    "coupling.t1rho_s": (1e-9, 1.0),
+    "decoherence.gamma2_nv_hz": (0.0, 1e9),
+    "decoherence.gamma2_x_hz": (0.0, 1e9),
+    "decoherence.gamma2_two_spin_hz": (0.0, 1e9),
+    "decoherence.p": (0.5, 3.0),
+    "decoherence.alpha0_nv": (0.0, 1.0),
+    "decoherence.alpha0_two_spin": (0.0, 1.0),
+    "nuclear.polarization": (0.0, 1.0),
+    "nuclear.transitions": (1, 2),
+    "budget.tau_nv_s": (0.0, 1.0),
+    "budget.tau_phi_s": (0.0, 1.0),
+    "budget.tau_rr_s": (0.0, 1.0),
+    "pump.efficiency": (0.0, 1.0),
+    "calibration.initial_x_polarization": (-1.0, 1.0),
+    "calibration.one_round_x_polarization": (-1.0, 1.0),
+    "readout.amplitude_sum": (1.0, 100.0),
+    "readout.snr_at_m": (1.0, 100.0),
+    "readout.m_max": (0, 1000),
+    "sweep.d_min_hz": (1.0, 1e9),
+    "sweep.d_max_hz": (1.0, 1e9),
+    "sweep.d_points": (2, 5),
+    "sweep.ratio_min": (0.0, 100.0),
+    "sweep.ratio_max": (0.0, 100.0),
+    "sweep.ratio_points": (2, 5),
+    "sweep.m_max": (0, 5),
+    "run.seed": (0, 2**63 - 1),
+    "run.trajectories": (1, 10**9),
+}
+SMALL_SWEEP = {"d_points": 4, "ratio_points": 4, "m_max": 5}
+
+
+@st.composite
+def edge_configs(draw):
+    config: dict = {}
+    for key in draw(st.lists(st.sampled_from(sorted(CONFIG_RANGES)), unique=True, max_size=4)):
+        low, high = CONFIG_RANGES[key]
+        inner = st.integers(low, high) if isinstance(low, int) else st.floats(low, high)
+        section, name = key.split(".")
+        config.setdefault(section, {})[name] = draw(st.sampled_from([low, high]) | inner)
+    return config
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(config=edge_configs())
+@example(config={"decoherence": {"gamma2_nv_hz": 1e9}})
+@example(config={"decoherence": {"gamma2_nv_hz": 1e6}})
+@example(config={"decoherence": {"gamma2_nv_hz": 1e-9}})
+@example(config={"decoherence": {"gamma2_x_hz": 0}})
+@example(config={"decoherence": {"gamma2_x_hz": 1e9}})
+@example(config={"decoherence": {"p": 0.5}})
+@example(config={"run": {"trajectories": 1}})
+def test_every_valid_config_runs_or_exits_cleanly(config):
+    merged = {"sweep": dict(SMALL_SWEEP)}
+    for section, values in config.items():
+        merged.setdefault(section, {}).update(values)
+    with tempfile.TemporaryDirectory() as out:
+        path = f"{out}/cfg.json"
+        with open(path, "w") as fh:
+            json.dump(merged, fh)
+        for scenario in SCENARIOS:
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                rc = main(["run", "--scenario", scenario, "--config", path, "--out", out, "--quiet"])
+            text = err.getvalue()
+            assert rc in (0, 2, 3), (scenario, rc, text)
+            assert "Traceback" not in text and text.count("\n") <= 1, (scenario, text)
+            assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == [], scenario

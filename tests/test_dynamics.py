@@ -5,10 +5,8 @@ from entangle_sense.dynamics import (
     DecoherenceEnvelope,
     DriveTerm,
     DrivenDecayModel,
-    FieldModel,
     HamiltonianSpec,
     OUNoiseModel,
-    apply_envelope,
     driven_decay,
     expm_hermitian,
     monte_carlo_propagate,
@@ -171,43 +169,30 @@ def test_optical_pump_leaves_x_untouched():
 
 
 def test_apply_envelope_zero_time_identity():
+    # scaling a state's coherences by the envelope at t = 0 leaves them unchanged
     rho = _random_state(8)
-    env = DecoherenceEnvelope(1.0, 22e3, 1.6)
-    out = apply_envelope(rho, env, "NV", 0.0)
-    assert np.allclose(out.matrix, rho.matrix, atol=1e-12)
+    env = DecoherenceEnvelope(0.8, 22e3, 1.6)
+    assert env.decay(0.0) == 1.0
+    assert env.amplitude(0.0) == 0.8
+    assert np.array_equal(env.decay(np.zeros(3)), np.ones(3))
+    assert np.array_equal(rho.matrix * env.decay(0.0), rho.matrix)
 
 
 def test_apply_envelope_stretch_factor_oracle():
-    # exp(-(22 kHz * 19 us)**1.6) = exp(-(0.418)**1.6) = 0.780589...
+    # exp(-(22 kHz * 19 us)**1.6) = exp(-(0.418)**1.6) = 0.780613...
     env = DecoherenceEnvelope(1.0, 22e3, 1.6)
     expected = np.exp(-(0.418**1.6))
     assert env.decay(19e-6) == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(0.7806136552652768, rel=1e-10)
     rho = pure_state(layout("NV"), np.array([1.0, 1.0]) / np.sqrt(2))
-    out = apply_envelope(rho, env, "NV", 19e-6)
-    assert abs(out.matrix[0, 1]) == pytest.approx(0.5 * expected, rel=1e-10)
+    assert abs(rho.matrix[0, 1] * env.decay(19e-6)) == pytest.approx(0.5 * expected, rel=1e-10)
 
 
-def test_apply_envelope_exponential_composes_stretched_does_not():
-    rho = pure_state(layout("NV"), np.array([1.0, 1.0]) / np.sqrt(2))
+def test_decay_exponential_composes_stretched_does_not():
     exp_env = DecoherenceEnvelope(1.0, 30e3, 1.0)
-    once = apply_envelope(rho, exp_env, "NV", 10e-6)
-    split = apply_envelope(apply_envelope(rho, exp_env, "NV", 6e-6), exp_env, "NV", 4e-6)
-    assert np.allclose(once.matrix, split.matrix, atol=1e-12)
+    assert exp_env.decay(10e-6) == pytest.approx(exp_env.decay(6e-6) * exp_env.decay(4e-6), rel=1e-12)
     st_env = DecoherenceEnvelope(1.0, 30e3, 1.6)
-    once = apply_envelope(rho, st_env, "NV", 10e-6)
-    split = apply_envelope(apply_envelope(rho, st_env, "NV", 6e-6), st_env, "NV", 4e-6)
-    assert abs(once.matrix[0, 1]) != pytest.approx(abs(split.matrix[0, 1]), rel=1e-3)
-
-
-def test_apply_envelope_double_quantum_block():
-    psi = np.array([1.0, 0.0, 0.0, -1.0j]) / np.sqrt(2)
-    rho = pure_state(TWO, psi)
-    env = DecoherenceEnvelope(1.0, 37e3, 1.6)
-    out = apply_envelope(rho, env, "double", 19e-6)
-    factor = env.decay(19e-6)
-    assert abs(out.matrix[0, 3]) == pytest.approx(0.5 * factor, rel=1e-10)
-    assert out.matrix[0, 0].real == pytest.approx(0.5, abs=1e-12)
+    assert st_env.decay(10e-6) != pytest.approx(st_env.decay(6e-6) * st_env.decay(4e-6), rel=1e-3)
 
 
 def test_driven_decay_limits():
@@ -383,11 +368,6 @@ def test_monte_carlo_zero_time_returns_state_unchanged():
     noise = OUNoiseModel(sigma_b_gauss=2e-3, tau_c_s=5e-6, trajectories=8)
     out = monte_carlo_propagate(rho, _driven_pair(), 0.0, noise, seed=0)
     assert np.array_equal(out.matrix, rho.matrix)
-
-
-def test_field_model_validation():
-    with pytest.raises(ValueError):
-        FieldModel(amplitude_gauss=0.1, frequency_hz=-5.0)
 
 
 def test_hamiltonian_hermitian():

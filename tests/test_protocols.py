@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from entangle_sense.dynamics import DecoherenceEnvelope, FieldModel, optical_pump
+from entangle_sense.analysis import F_HAT_ECHO, precession_rate
+from entangle_sense.dynamics import expm_hermitian, optical_pump
 from entangle_sense.protocols import (
     GateParams,
     NuclearFactor,
@@ -10,15 +11,13 @@ from entangle_sense.protocols import (
     calibrate_gate_error,
     disentangle,
     dominant_frequency,
-    echo_sense,
     modulated_disentangle_scan,
-    overlap_factor,
     polarization_transfer,
     prepare_entangled,
     verify_phase_recipes,
     x_polarization,
 )
-from entangle_sense.spinsys import bell_coherence, build_operator, layout, polarized_state, pure_state
+from entangle_sense.spinsys import CONSTANTS, bell_coherence, build_operator, layout, polarized_state, pure_state
 
 IDEAL = GateParams(d_hz=58e3)
 
@@ -145,45 +144,39 @@ def test_modulated_scan_matches_per_phase_gates(params):
     assert np.array_equal(signal, reference)
 
 
-def test_overlap_factor_phase_matched_echo():
-    field = FieldModel(amplitude_gauss=0.1, frequency_hz=100e3)
-    tau = 1.0 / field.frequency_hz
-    assert overlap_factor((0.5,), tau, field) == pytest.approx(2 / np.pi, abs=1e-8)
+def test_f_hat_echo_is_the_phase_matched_echo_overlap():
+    # (1/tau) |int_0^tau s(t) sin(w t) dt| with s = +1, then -1 after the
+    # pi pulse at tau/2, over one field period tau = 2 pi / w
+    nu = 100e3
+    w, tau = 2 * np.pi * nu, 1.0 / nu
+    prim = lambda t: -np.cos(w * t) / w  # noqa: E731
+    overlap = abs((prim(tau / 2) - prim(0.0)) - (prim(tau) - prim(tau / 2))) / tau
+    assert F_HAT_ECHO == 2 / np.pi
+    assert overlap == pytest.approx(F_HAT_ECHO, rel=1e-12)
+    assert precession_rate(1, tau) == pytest.approx(CONSTANTS.gamma_e * overlap * tau, rel=1e-12)
 
 
-def test_overlap_factor_no_pulse_full_period():
-    field = FieldModel(amplitude_gauss=0.1, frequency_hz=100e3)
-    assert overlap_factor((), 1.0 / field.frequency_hz, field) == pytest.approx(0.0, abs=1e-10)
-
-
-def test_overlap_factor_phase_offset():
-    field = FieldModel(amplitude_gauss=0.1, frequency_hz=100e3, phase_rad=np.pi / 4)
-    tau = 1.0 / field.frequency_hz
-    expected = (2 / np.pi) * np.cos(np.pi / 4)
-    assert overlap_factor((0.5,), tau, field) == pytest.approx(expected, abs=1e-8)
-    assert expected == pytest.approx(0.45015815807855303, rel=1e-10)
-
-
-def test_echo_sense_zero_field_envelope_only():
-    rho = pure_state(layout("NV"), np.array([1.0, 1.0]) / np.sqrt(2))
-    env = DecoherenceEnvelope(1.0, 22e3, 1.6)
-    field = FieldModel(amplitude_gauss=0.0, frequency_hz=100e3)
-    out = echo_sense(rho, 10e-6, field, ("NV",), envelope=env)
-    assert out.matrix[0, 1] == pytest.approx(0.5 * env.decay(10e-6), abs=1e-12)
-
-
-def test_echo_sense_two_spin_double_phase():
-    # Bell-block phase = exactly 2x the single-spin phase for any (b, nu, tau)
+def test_bell_block_accumulates_double_phase():
+    # exp(-i phi (Sz x I + I x Sz)) turns the Bell coherence by twice the
+    # phase that exp(-i phi Sz) gives one spin, as precession_rate(2) says
+    one = layout("NV")
+    gen_1 = build_operator(one, {"NV": "Sz"}).matrix
+    gen_2 = (
+        build_operator(TWO_SPIN_LAYOUT, {"NV": "Sz", "Xe": "I"}).matrix
+        + build_operator(TWO_SPIN_LAYOUT, {"NV": "I", "Xe": "Sz"}).matrix
+    )
+    single = pure_state(one, np.array([1.0, 1.0]) / np.sqrt(2))
+    bell = prepare_entangled(pure_state(TWO_SPIN_LAYOUT, _ket(0)), IDEAL)
     for b, nu in ((0.003, 80e3), (0.011, 150e3)):
         tau = 1.0 / nu
-        field = FieldModel(amplitude_gauss=b, frequency_hz=nu)
-        single = pure_state(layout("NV"), np.array([1.0, 1.0]) / np.sqrt(2))
-        s_out = echo_sense(single, tau, field, ("NV",))
-        phi_1 = -np.angle(s_out.matrix[0, 1] / single.matrix[0, 1])
-        bell = prepare_entangled(pure_state(TWO_SPIN_LAYOUT, _ket(0)), IDEAL)
-        b_out = echo_sense(bell, tau, field, ("NV", "Xe"))
-        phi_2 = -np.angle(b_out.matrix[0, 3] / bell.matrix[0, 3])
-        assert phi_2 == pytest.approx(2 * phi_1, rel=1e-9)
+        phi = b * precession_rate(1, tau)
+        u_1, u_2 = expm_hermitian(gen_1, phi), expm_hermitian(gen_2, phi)
+        s_out = u_1 @ single.matrix @ u_1.conj().T
+        b_out = u_2 @ bell.matrix @ u_2.conj().T
+        phi_1 = -np.angle(s_out[0, 1] / single.matrix[0, 1])
+        phi_2 = -np.angle(b_out[0, 3] / bell.matrix[0, 3])
+        assert phi_1 == pytest.approx(phi, rel=1e-9)
+        assert phi_2 / phi_1 == pytest.approx(precession_rate(2, tau) / precession_rate(1, tau), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
