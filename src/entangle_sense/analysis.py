@@ -15,7 +15,7 @@ amplitude-slope ratio, bounded by 2.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -75,23 +75,26 @@ class FitResult:
 
 @dataclass(frozen=True)
 class TimingBudget:
-    """Per-shot dead times around one sensing window of duration tau."""
+    """Per-shot dead times around one sensing window of duration tau.
 
-    tau_s: float
+    tau_s and repetitions may be arrays; shot_time then broadcasts them.
+    """
+
+    tau_s: float | np.ndarray
     tau_nv_s: float = 5.7e-6
     tau_phi_s: float = 21.0e-6
     tau_rr_s: float = 6.1e-6
-    repetitions: int = 1
+    repetitions: int | np.ndarray = 1
 
     def __post_init__(self) -> None:
-        if min(self.tau_s, self.tau_nv_s, self.tau_phi_s, self.tau_rr_s) < 0:
+        if min(np.min(self.tau_s), self.tau_nv_s, self.tau_phi_s, self.tau_rr_s) < 0:
             raise ValueError("times must be >= 0")
-        if self.repetitions < 0:
+        if np.min(self.repetitions) < 0:
             raise ValueError("repetition count must be >= 0")
 
     @property
-    def shot_time(self) -> float:
-        extra = max(self.repetitions - 1, 0) * self.tau_rr_s
+    def shot_time(self) -> float | np.ndarray:
+        extra = np.maximum(self.repetitions - 1, 0) * self.tau_rr_s
         return self.tau_s + self.tau_nv_s + self.tau_phi_s + extra
 
 
@@ -202,7 +205,6 @@ def check_jacobian(
     residual: Callable[[np.ndarray], np.ndarray],
     jacobian: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
-    rel_tol: float = 1e-5,
 ) -> float:
     """Max relative deviation of the analytic Jacobian from central differences."""
     x = np.asarray(x, dtype=float)
@@ -314,6 +316,8 @@ def fit_stretched_exp(
     # log-log linearization for the starting point
     a0_init = max(float(np.max(y)) * 1.02, 1e-6)
     mask = (y > 1e-3 * a0_init) & (y < a0_init)
+    if np.count_nonzero(mask) < 2:
+        raise FitError("need at least 2 points between 1e-3 and 1 of the peak to start the fit")
     z = np.log(-np.log(np.clip(y[mask] / a0_init, 1e-12, 1.0 - 1e-12)))
     slope, intercept = np.polyfit(np.log(t[mask]), z, 1)
     p_init = float(np.clip(slope, 0.55, 2.95))
@@ -379,31 +383,41 @@ def min_field(alpha: float, nu_slope: float, sigma_s: float) -> float:
     return abs(sigma_s / slope)
 
 
-def precession_rate(n_spins: int, tau_s: float, f_hat: float = F_HAT_ECHO) -> float:
-    """Signal phase per gauss: n * gamma_e * f_hat * tau (rad/G)."""
-    return n_spins * CONSTANTS.gamma_e * f_hat * tau_s
+def precession_rate(n_spins: int, tau_s: float) -> float:
+    """Signal phase per gauss under a Hahn echo: n * gamma_e * f_hat * tau (rad/G)."""
+    return n_spins * CONSTANTS.gamma_e * F_HAT_ECHO * tau_s
 
 
 def gain_performance(
-    tau_s: float,
+    tau_s: float | np.ndarray,
     envelope_nv: DecoherenceEnvelope,
     envelope_two: DecoherenceEnvelope,
     factor: NuclearFactor,
-) -> float:
-    """Fixed-shot-number gain: 2 * amplitude ratio * nuclear factor, <= 2."""
-    if tau_s <= 0:
+) -> float | np.ndarray:
+    """Fixed-shot-number gain: 2 * amplitude ratio * nuclear factor, <= 2.
+
+    tau_s may be an array; a scalar gives a float.  Array and scalar
+    results can differ in the last bits, since numpy's array ** and its
+    0-d ** take different paths.
+    """
+    tau = np.asarray(tau_s, dtype=float)
+    if np.any(tau <= 0):
         raise ValueError("sensing time must be positive")
-    a_nv = envelope_nv.amplitude(tau_s)
-    if a_nv == 0.0:
-        raise InfeasibleError(f"NV amplitude underflows to 0 at tau = {tau_s:.3g} s")
-    ratio = envelope_two.amplitude(tau_s) / a_nv
-    return 2.0 * ratio * factor.amplitude_factor
+    a_nv = envelope_nv.amplitude(tau)
+    zero = np.flatnonzero(a_nv == 0.0)
+    if zero.size:
+        raise InfeasibleError(f"NV amplitude underflows to 0 at tau = {tau.flat[zero[0]]:.3g} s")
+    g = 2.0 * (envelope_two.amplitude(tau) / a_nv) * factor.amplitude_factor
+    return g if tau.ndim else float(g)
 
 
-def overhead_factor(budget: TimingBudget) -> float:
-    """Dead-time penalty h = sqrt(sensing+prep time over full shot time)."""
-    useful = budget.tau_s + budget.tau_nv_s
-    return float(np.sqrt(useful / budget.shot_time))
+def overhead_factor(budget: TimingBudget) -> float | np.ndarray:
+    """Dead-time penalty h = sqrt(sensing+prep time over full shot time).
+
+    An array budget gives an array of the broadcast shape; a scalar one a float.
+    """
+    h = np.sqrt((budget.tau_s + budget.tau_nv_s) / budget.shot_time)
+    return h if h.ndim else float(h)
 
 
 def gain_sensitivity(
@@ -421,13 +435,7 @@ def gain_sensitivity(
     if m < 0 or m >= len(ladder):
         raise ValueError("repetition count outside the ladder range")
     g = gain_performance(tau_s, envelope_nv, envelope_two, factor)
-    budget_m = TimingBudget(
-        tau_s=tau_s,
-        tau_nv_s=budget.tau_nv_s,
-        tau_phi_s=budget.tau_phi_s,
-        tau_rr_s=budget.tau_rr_s,
-        repetitions=m,
-    )
+    budget_m = replace(budget, tau_s=tau_s, repetitions=m)
     h = overhead_factor(budget_m)
     snr = float(snr_gain(ladder[: m + 1])[-1])
     alpha_two = envelope_two.amplitude(tau_s) * factor.amplitude_factor
@@ -493,9 +501,16 @@ def sweep_gain_map(
     ratio); nuclear polarization q = 1 throughout.  The cell gain is
     g(ratio, tau) * SNR-gain(m) * h(d, tau, m), maximized over tau, and
     over m with repetitive readout (m = 0 without).  g is computed once
-    for all ratios and h once per coupling; with repetitive readout the
-    (m, tau) product is formed one ratio at a time, which keeps the
-    sweep's memory to a few (m, tau) arrays.
+    for all ratios and h once per coupling, by ``overhead_factor``; with
+    repetitive readout the (m, tau) product is formed one ratio at a
+    time, which keeps the sweep's memory to a few (m, tau) arrays.
+
+    g is ``gain_performance`` at q = 1 written in the log domain,
+    2 * (alpha0_two / alpha0_nv) * exp((gamma2_NV tau)^p - (gamma2_two tau)^p),
+    and parametrised by the ratio axis rather than by two envelopes.  It
+    does not underflow where the quotient of the two amplitudes does (the
+    NV amplitude reaching 0 leaves that quotient undefined), and the
+    per-cell reference test pins this exact expression.
 
     The repetitive-readout ladder is one of three readout-ladder models,
     each chosen for what its figure needs:
@@ -517,16 +532,15 @@ def sweep_gain_map(
         (gamma2_nv_hz * tau_grid) ** p - (gamma2_two[:, None] * tau_grid) ** p
     )
     g = 2.0 * amp_ratio  # (ratio, tau); q = 1: nuclear factor unity
-    useful = tau_grid + tau_nv_s
     if use_repetitive_readout:
-        extra = np.maximum(np.arange(m_max + 1) - 1, 0)[:, None] * tau_rr_s
+        repetitions = np.arange(m_max + 1)[:, None]
         snr = snr_gain(ladder)[:, None]
     else:
-        extra = 0.0  # a single readout: no repetition dead time
+        repetitions = 1  # a single readout: no repetition dead time
     values = np.empty((len(ratios), len(d_axis)))
     for j, d in enumerate(d_axis):
         tau_phi = tau_phi_exp_s * (d_exp_hz / d)
-        h = np.sqrt(useful / (useful + tau_phi + extra))
+        h = overhead_factor(TimingBudget(tau_grid, tau_nv_s, tau_phi, tau_rr_s, repetitions))
         if not use_repetitive_readout:
             values[:, j] = (g * h).max(axis=1)
             continue
@@ -580,15 +594,8 @@ def required_amplitude_ratio_scale(
     """
     if tau_grid is None:
         tau_grid = np.geomspace(1e-6, 5.0 / envelope_nv.gamma2_hz, 2000)
-    g = np.array([gain_performance(t, envelope_nv, envelope_two, factor) for t in tau_grid])
-    h = np.array(
-        [
-            overhead_factor(
-                TimingBudget(t, budget.tau_nv_s, budget.tau_phi_s, budget.tau_rr_s, repetitions=1)
-            )
-            for t in tau_grid
-        ]
-    )
+    g = gain_performance(tau_grid, envelope_nv, envelope_two, factor)
+    h = overhead_factor(replace(budget, tau_s=tau_grid, repetitions=1))
     peak = float(np.max(g * h))
     if peak <= 0:
         raise InfeasibleError("gain profile is degenerate")

@@ -44,6 +44,9 @@ from .dynamics import (
 
 TWO_SPIN_LAYOUT = layout("NV", "Xe")
 
+# matched-drive Rabi frequency over the exchange coupling 2*pi*d: strong
+# enough that the dressed frame holds, for the recipe check and fig1f
+RABI_OVER_COUPLING = 20.0
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +152,7 @@ def apply_exchange_gate(
 
 
 @lru_cache(maxsize=8)
-def verify_phase_recipes(d_hz: float, rabi_over_coupling: float = 20.0) -> dict[str, float]:
+def verify_phase_recipes(d_hz: float) -> dict[str, float]:
     """Determine numerically which relative drive phase drives which block.
 
     Propagates the full two-spin drive+coupling Hamiltonian for relative
@@ -157,7 +160,7 @@ def verify_phase_recipes(d_hz: float, rabi_over_coupling: float = 20.0) -> dict[
     the zero-quantum flip-flop and which the double-quantum exchange.
     Returns {"zq": relative_phase, "dq": relative_phase}.
     """
-    omega = rabi_over_coupling * 2.0 * np.pi * d_hz
+    omega = RABI_OVER_COUPLING * 2.0 * np.pi * d_hz
     t_swap = 1.0 / (2.0 * d_hz)
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
     minus = np.array([1.0, -1.0]) / np.sqrt(2.0)

@@ -37,6 +37,7 @@ from .dynamics import (
     optical_pump,
 )
 from .protocols import (
+    RABI_OVER_COUPLING,
     GateParams,
     NuclearFactor,
     TWO_SPIN_LAYOUT,
@@ -102,7 +103,7 @@ def _envelopes(cfg: ScenarioConfig) -> tuple[DecoherenceEnvelope, DecoherenceEnv
 def run_fig1f(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict]:
     """Coherent spin exchange under matched drives vs drive duration."""
     d = cfg["coupling.d_hz"]
-    omega = max(cfg["coupling.rabi_rad_per_s"], 20.0 * 2.0 * np.pi * d)
+    omega = max(cfg["coupling.rabi_rad_per_s"], RABI_OVER_COUPLING * 2.0 * np.pi * d)
     recipes = verify_phase_recipes(d)
     ham = HamiltonianSpec(
         layout=TWO_SPIN_LAYOUT,
@@ -345,26 +346,15 @@ def run_fig3b(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
 def run_fig4a(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict]:
     """Gain in performance and sensitivity vs sensing time."""
     env_nv, env_two = _envelopes(cfg)
-    budget = TimingBudget(
-        tau_s=1e-6,
-        tau_nv_s=cfg["budget.tau_nv_s"],
-        tau_phi_s=cfg["budget.tau_phi_s"],
-        tau_rr_s=cfg["budget.tau_rr_s"],
-    )
     polarized = NuclearFactor(1.0, 1)
-    unpolarized = NuclearFactor(0.0, 1)
     tau_grid = np.linspace(1.0e-6, 60.0e-6, 600)
-    h = np.array(
-        [
-            overhead_factor(
-                TimingBudget(t, budget.tau_nv_s, budget.tau_phi_s, budget.tau_rr_s, 1)
-            )
-            for t in tau_grid
-        ]
+    budget = TimingBudget(
+        tau_grid, cfg["budget.tau_nv_s"], cfg["budget.tau_phi_s"], cfg["budget.tau_rr_s"], 1
     )
+    h = overhead_factor(budget)
     with _config_keys(*GAIN_AMPLITUDE_KEYS):
-        g_q1 = np.array([gain_performance(t, env_nv, env_two, polarized) for t in tau_grid])
-        g_q0 = np.array([gain_performance(t, env_nv, env_two, unpolarized) for t in tau_grid])
+        g_q1 = gain_performance(tau_grid, env_nv, env_two, polarized)
+        g_q0 = gain_performance(tau_grid, env_nv, env_two, NuclearFactor(0.0, 1))
         scale = required_amplitude_ratio_scale(env_nv, env_two, polarized, budget)
         crossing = unity_crossing(tau_grid, g_q1)
     columns = {
@@ -457,13 +447,10 @@ def run_fig4c(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
         return float(x0 + (1.0 - y0) * (x1 - x0) / (y1 - y0))
 
     def crossing_ratio(grid) -> float | None:
-        col = grid.values[:, j_exp]
-        below = np.nonzero(col < 1.0)[0]
-        if len(below) == 0 or below[0] == 0:
+        try:
+            return unity_crossing(ratio_axis, grid.values[:, j_exp])
+        except InfeasibleError:
             return None
-        k = below[0]
-        x0, x1, y0, y1 = ratio_axis[k - 1], ratio_axis[k], col[k - 1], col[k]
-        return float(x0 + (1.0 - y0) * (x1 - x0) / (y1 - y0))
 
     columns = {
         "d[Hz]": np.repeat(d_axis, len(ratio_axis)),

@@ -25,7 +25,7 @@ from entangle_sense.analysis import (
 from entangle_sense.dynamics import DecoherenceEnvelope
 from entangle_sense.protocols import NuclearFactor
 from entangle_sense.readout import geometric_ratio_for_gain, snr_gain
-from entangle_sense.spinsys import CONSTANTS
+from entangle_sense.spinsys import CONSTANTS, InfeasibleError
 
 ENV_NV = DecoherenceEnvelope(0.96, 22e3, 1.6)
 ENV_TWO = DecoherenceEnvelope(0.78, 36e3, 1.6)
@@ -133,6 +133,17 @@ def test_stretched_exp_rejects_nonpositive_times():
         fit_stretched_exp(np.array([0.0, 1e-6, 2e-6, 3e-6, 4e-6]), np.ones(5))
 
 
+def test_stretched_exp_needs_two_points_to_start():
+    # the log-log start fits a line through the points between 1e-3 and 1
+    # of the peak: none (an all-zero curve) or one is not enough
+    t = np.linspace(2e-6, 120e-6, 40)
+    one_point = np.zeros(40)
+    one_point[0] = 0.5
+    for y in (np.zeros(40), one_point):
+        with pytest.raises(FitError, match="at least 2 points"):
+            fit_stretched_exp(t, y, 0.05)
+
+
 # ---------------------------------------------------------------------------
 # Jacobian consistency (analytic vs central differences)
 
@@ -204,6 +215,54 @@ def test_gain_crossing_and_unpolarized_bound():
     g0 = np.array([gain_performance(t, ENV_NV, ENV_TWO, NuclearFactor(0.0, 1)) for t in taus])
     assert np.all(g0 < 1.0)
     assert np.all(g1 <= 2.0 + 1e-12)
+
+
+def test_gain_performance_array_matches_scalar_calls():
+    taus = np.linspace(1e-6, 150e-6, 1500)
+    for env_nv, env_two in ((ENV_NV, ENV_TWO), (DecoherenceEnvelope(0.9, 40e3, 2.7), ENV_TWO)):
+        for q in (0.0, 1.0):
+            factor = NuclearFactor(q, 1)
+            g = gain_performance(taus, env_nv, env_two, factor)
+            ref = np.array([gain_performance(t, env_nv, env_two, factor) for t in taus])
+            assert g.shape == taus.shape
+            # array ** and scalar ** round differently; the gap scales with
+            # the exponents, which pass 100 here
+            w = (env_nv.gamma2_hz * taus) ** env_nv.p + (env_two.gamma2_hz * taus) ** env_two.p
+            assert np.all(np.abs(g - ref) <= 4 * np.finfo(float).eps * np.abs(ref) * (1 + w))
+    assert isinstance(gain_performance(19e-6, ENV_NV, ENV_TWO, NuclearFactor(1.0, 1)), float)
+
+
+def test_gain_performance_array_names_first_underflowing_tau():
+    env_nv = DecoherenceEnvelope(0.96, 1e6, 1.6)  # exp(-(gamma tau)^p) underflows past ~63 us
+    taus = np.geomspace(1e-6, 1e-3, 50)
+    first = next(t for t in taus if env_nv.amplitude(t) == 0.0)
+    assert first > taus[0]
+    with pytest.raises(InfeasibleError, match=f"at tau = {first:.3g} s"):
+        gain_performance(taus, env_nv, ENV_TWO, NuclearFactor(1.0, 1))
+    with pytest.raises(InfeasibleError, match=f"at tau = {first:.3g} s"):
+        gain_performance(first, env_nv, ENV_TWO, NuclearFactor(1.0, 1))
+
+
+def test_overhead_factor_array_matches_scalar_calls():
+    taus = np.linspace(1e-6, 100e-6, 200)
+    h = overhead_factor(TimingBudget(taus, repetitions=1))
+    assert np.array_equal(h, [overhead_factor(TimingBudget(t, repetitions=1)) for t in taus])
+    m = np.arange(12)
+    hm = overhead_factor(TimingBudget(19e-6, repetitions=m))
+    assert np.array_equal(hm, [overhead_factor(TimingBudget(19e-6, repetitions=k)) for k in m])
+    grid = overhead_factor(TimingBudget(taus, repetitions=m[:, None]))
+    assert grid.shape == (12, 200)
+    assert np.array_equal(grid[5], [overhead_factor(TimingBudget(t, repetitions=5)) for t in taus])
+    assert isinstance(overhead_factor(TimingBudget(19e-6)), float)
+
+
+def test_timing_budget_rejects_negative_array_element():
+    taus = np.linspace(1e-6, 60e-6, 10)
+    TimingBudget(taus, repetitions=np.arange(5)[:, None])
+    with pytest.raises(ValueError, match="times must be >= 0"):
+        TimingBudget(np.where(taus > 30e-6, -1e-6, taus))
+    with pytest.raises(ValueError, match="repetition count must be >= 0"):
+        TimingBudget(taus, repetitions=np.array([3, 1, -1, 2]))
 
 
 def test_overhead_factor_values():
