@@ -501,9 +501,15 @@ def sweep_gain_map(
     ratio); nuclear polarization q = 1 throughout.  The cell gain is
     g(ratio, tau) * SNR-gain(m) * h(d, tau, m), maximized over tau, and
     over m with repetitive readout (m = 0 without).  g is computed once
-    for all ratios and h once per coupling, by ``overhead_factor``; with
-    repetitive readout the (m, tau) product is formed one ratio at a
-    time, which keeps the sweep's memory to a few (m, tau) arrays.
+    for all ratios and h once per coupling, by ``overhead_factor``.  With
+    repetitive readout each coupling first bounds every (ratio, tau) cell
+    by g * max_m(SNR * h), which is within 2 ulp of the cell's exact max
+    as all factors are >= 0; the exact (SNR * g) * h is then formed only
+    at the cells within 1e-13 of their row's bound, so the result is
+    bit-identical to a per-cell max.  Cells with g == 0 are never taken
+    (they contribute exactly 0, the initial value), and a row whose bound
+    is below 2**-1000, where the ulp argument fails, takes all its g > 0
+    cells.
 
     g is ``gain_performance`` at q = 1 written in the log domain,
     2 * (alpha0_two / alpha0_nv) * exp((gamma2_NV tau)^p - (gamma2_two tau)^p),
@@ -537,15 +543,18 @@ def sweep_gain_map(
         snr = snr_gain(ladder)[:, None]
     else:
         repetitions = 1  # a single readout: no repetition dead time
-    values = np.empty((len(ratios), len(d_axis)))
+    values = np.zeros((len(ratios), len(d_axis)))
     for j, d in enumerate(d_axis):
         tau_phi = tau_phi_exp_s * (d_exp_hz / d)
         h = overhead_factor(TimingBudget(tau_grid, tau_nv_s, tau_phi, tau_rr_s, repetitions))
         if not use_repetitive_readout:
             values[:, j] = (g * h).max(axis=1)
             continue
-        for i in range(len(ratios)):
-            values[i, j] = np.max(snr * g[i] * h)
+        approx = g * (snr * h).max(axis=0)  # (ratio, tau), within 2 ulp of the exact max over m
+        rowmax = approx.max(axis=1, keepdims=True)
+        near = (approx >= (1.0 - 1e-13) * rowmax) | (rowmax < 2.0**-1000)
+        ii, ts = np.nonzero(near & (g > 0))
+        np.maximum.at(values, (ii, j), (snr * g[ii, ts] * h[:, ts]).max(axis=0))
     return SweepGrid(
         d_axis_hz=d_axis,
         ratio_axis=ratios,

@@ -383,28 +383,56 @@ def _per_cell_sweep(d_axis, ratio_axis, use_rr, m_max, alpha0_nv=0.96, alpha0_tw
     return values
 
 
+# (ratio axis, sweep keywords): grids where the sweep's bound-and-recompute
+# max could pick the wrong cells
+SWEEP_REFERENCE_CASES = {
+    "default": (np.linspace(0.1, 1.4, 5), {}),
+    # ratio 0: g flat in tau, so near-ties between tau cells decide the max
+    "ratio from 0": (np.linspace(0.0, 1.4, 5), {}),
+    # every gain beyond ratio ~0 underflows to exactly 0
+    "all-zero gain rows": (np.linspace(0.0, 100.0, 9), {"gamma2_nv_hz": 1e9}),
+    # rows whose largest gain is subnormal, around ratio 60
+    "subnormal rows": (np.linspace(0.0, 100.0, 40), {"gamma2_nv_hz": 1e6}),
+    "stretch 0.5": (np.linspace(0.0, 100.0, 9), {"gamma2_nv_hz": 1e6, "p": 0.5}),
+    "exponential decay": (np.linspace(0.1, 1.4, 5), {"gamma2_nv_hz": 5e3, "p": 1.0}),
+    # every gain subnormal, so rounding is no longer relative
+    "subnormal gains": (np.linspace(0.1, 1.4, 5), {"alpha0_two": 1e-321}),
+}
+
+
 @pytest.mark.parametrize("use_rr", [False, True])
 @pytest.mark.parametrize("m_max", [0, 1, 30])
 def test_sweep_matches_per_cell_reference(use_rr, m_max):
     d_axis = np.linspace(30e3, 150e3, 7)
-    ratio_axis = np.linspace(0.1, 1.4, 5)
-    grid = sweep_gain_map(d_axis, ratio_axis, use_repetitive_readout=use_rr, m_max=m_max)
-    assert grid.values.shape == (5, 7)
-    assert np.array_equal(grid.values, _per_cell_sweep(d_axis, ratio_axis, use_rr, m_max))
+    for name, (ratio_axis, kwargs) in SWEEP_REFERENCE_CASES.items():
+        grid = sweep_gain_map(d_axis, ratio_axis, use_repetitive_readout=use_rr, m_max=m_max, **kwargs)
+        assert grid.values.shape == (len(ratio_axis), 7), name
+        expected = _per_cell_sweep(d_axis, ratio_axis, use_rr, m_max, **kwargs)
+        assert np.array_equal(grid.values, expected), name
 
 
-def test_sweep_peak_memory_stays_small():
-    # the sweep builds one (m, tau) product per ratio; a (ratio, m, tau) or
-    # (coupling, m, tau) stack at this size would trace 6-12 MB
+def _sweep_peak_bytes(ratio_axis, **kwargs):
     d_axis = np.linspace(30e3, 150e3, 40)
-    ratio_axis = np.linspace(0.1, 1.4, 40)
     tracemalloc.start()
     try:
-        sweep_gain_map(d_axis, ratio_axis, use_repetitive_readout=True, m_max=30)
+        sweep_gain_map(d_axis, ratio_axis, use_repetitive_readout=True, m_max=30, **kwargs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20
+    return peak
+
+
+def test_sweep_peak_memory_stays_small():
+    # the sweep builds one (m, tau) and a few (ratio, tau) arrays per
+    # coupling; a (ratio, m, tau) or (coupling, m, tau) stack at this size
+    # would trace 6-12 MB
+    assert _sweep_peak_bytes(np.linspace(0.1, 1.4, 40)) < 2 * 2**20
+
+
+def test_degenerate_sweep_peak_memory_stays_small():
+    # most gains underflow to 0 here; taking their cells as candidates for
+    # the exact product would trace ~11 MB
+    assert _sweep_peak_bytes(np.linspace(0.0, 100.0, 40), gamma2_nv_hz=1e9) < 2 * 2**20
 
 
 def test_required_amplitude_scale_reported():

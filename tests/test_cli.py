@@ -226,8 +226,9 @@ def test_nonconvergent_fit_exits_3_without_warnings(case, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-# validate's range for each key; the sweep grid sizes are drawn small, as
-# their upper edges only add cells to fig4c and cost seconds per run
+# validate's range for each key, except that the sweep grid sizes are drawn
+# only up to the default 40 x 40 grid and m_max 30: validate's upper edges
+# (1000) only add cells to fig4c and cost seconds per run
 CONFIG_RANGES = {
     "coupling.d_hz": (1.0, 1e9),
     "coupling.rabi_rad_per_s": (0.0, 1e12),
@@ -251,11 +252,11 @@ CONFIG_RANGES = {
     "readout.m_max": (0, 1000),
     "sweep.d_min_hz": (1.0, 1e9),
     "sweep.d_max_hz": (1.0, 1e9),
-    "sweep.d_points": (2, 5),
+    "sweep.d_points": (2, 40),
     "sweep.ratio_min": (0.0, 100.0),
     "sweep.ratio_max": (0.0, 100.0),
-    "sweep.ratio_points": (2, 5),
-    "sweep.m_max": (0, 5),
+    "sweep.ratio_points": (2, 40),
+    "sweep.m_max": (0, 30),
     "run.seed": (0, 2**63 - 1),
     "run.trajectories": (1, 10**9),
 }
