@@ -5,7 +5,7 @@ ancilla spin."""
 __version__ = "0.1.0"
 
 from .spinsys import (  # noqa: F401
-    CONSTANTS,
+    GAMMA_E,
     DensityState,
     Operator,
     SpinLayout,
@@ -18,7 +18,6 @@ from .spinsys import (  # noqa: F401
 from .dynamics import (  # noqa: F401
     DecoherenceEnvelope,
     DriveTerm,
-    DrivenDecayModel,
     HamiltonianSpec,
     OUNoiseModel,
     optical_pump,
@@ -36,13 +35,11 @@ from .analysis import (  # noqa: F401
     FitResult,
     MagnetometryCurve,
     SensitivityReport,
-    SweepGrid,
     TimingBudget,
     fit_sinusoid,
     fit_stretched_exp,
     gain_performance,
     gain_sensitivity,
-    min_field,
     overhead_factor,
     snr_bound_check,
     sweep_gain_map,

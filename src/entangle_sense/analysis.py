@@ -22,8 +22,8 @@ import numpy as np
 
 from .dynamics import DecoherenceEnvelope
 from .protocols import NuclearFactor
-from .readout import geometric_ratio_for_gain, snr_gain
-from .spinsys import CONSTANTS, InfeasibleError
+from .readout import snr_gain
+from .spinsys import GAMMA_E, InfeasibleError
 
 F_HAT_ECHO = 2.0 / np.pi
 
@@ -81,9 +81,9 @@ class TimingBudget:
     """
 
     tau_s: float | np.ndarray
-    tau_nv_s: float = 5.7e-6
-    tau_phi_s: float = 21.0e-6
-    tau_rr_s: float = 6.1e-6
+    tau_nv_s: float
+    tau_phi_s: float
+    tau_rr_s: float
     repetitions: int | np.ndarray = 1
 
     def __post_init__(self) -> None:
@@ -100,14 +100,12 @@ class TimingBudget:
 
 @dataclass(frozen=True)
 class SensitivityReport:
-    delta_b_gauss: float
-    eta_gauss_rthz: float
+    """Two-spin gain g, overhead h, their product with the SNR gain, per repetition count."""
+
     g: float
-    h: float
-    g_tilde: float
-    snr_gain: float
-    repetitions: int
-    assumptions: dict
+    h: float | np.ndarray
+    g_tilde: float | np.ndarray
+    snr_gain: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -117,7 +115,6 @@ class SweepGrid:
     d_axis_hz: np.ndarray
     ratio_axis: np.ndarray
     values: np.ndarray  # shape (len(ratio_axis), len(d_axis))
-    fixed_inputs: dict
 
     def __post_init__(self) -> None:
         d = np.asarray(self.d_axis_hz, dtype=float)
@@ -129,11 +126,6 @@ class SweepGrid:
         object.__setattr__(self, "d_axis_hz", d)
         object.__setattr__(self, "ratio_axis", r)
 
-    def cell(self, d_hz: float, ratio: float) -> float:
-        i = int(np.argmin(np.abs(self.ratio_axis - ratio)))
-        j = int(np.argmin(np.abs(self.d_axis_hz - d_hz)))
-        return float(self.values[i, j])
-
 
 # ---------------------------------------------------------------------------
 # Damped least-squares engine
@@ -143,12 +135,11 @@ def _lm_minimize(
     residual: Callable[[np.ndarray], np.ndarray],
     jacobian: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
-    max_iter: int = 200,
-    gtol: float = 1e-12,
-    xtol: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray, float, int, bool, str]:
     """Levenberg-Marquardt with Nielsen's gain-ratio damping update.
 
+    At most 200 iterations; converged when the largest gradient component
+    or the step relative to |x| falls below 1e-12.
     Returns (x, covariance, residual_norm, iterations, converged, message).
     The covariance is (J^T J)^-1 at the optimum; residuals are assumed
     already noise-weighted.
@@ -164,8 +155,8 @@ def _lm_minimize(
     converged = False
     message = "max iterations reached"
     it = 0
-    for it in range(1, max_iter + 1):
-        if np.max(np.abs(grad)) < gtol:
+    for it in range(1, 201):
+        if np.max(np.abs(grad)) < 1e-12:
             converged, message = True, "gradient tolerance reached"
             break
         aug = a + lam * np.diag(np.clip(np.diag(a), 1e-300, None))
@@ -174,7 +165,7 @@ def _lm_minimize(
         except np.linalg.LinAlgError:
             converged, message = False, "rank-deficient normal equations"
             break
-        if np.linalg.norm(step) < xtol * (np.linalg.norm(x) + xtol):
+        if np.linalg.norm(step) < 1e-12 * (np.linalg.norm(x) + 1e-12):
             converged, message = True, "step tolerance reached"
             break
         x_new = x + step
@@ -295,7 +286,6 @@ def fit_stretched_exp(
     times: np.ndarray,
     signals: np.ndarray,
     sigma: np.ndarray | float = 1.0,
-    p_fixed: float | None = None,
 ) -> FitResult:
     """Fit S(t) = alpha0 * exp(-(gamma2 * t)^p).
 
@@ -323,12 +313,8 @@ def fit_stretched_exp(
     p_init = float(np.clip(slope, 0.55, 2.95))
     g_init = float(np.exp(intercept / p_init))
 
-    fixed_p = p_fixed is not None
-
     def unpack(x: np.ndarray) -> tuple[float, float, float]:
-        a0, u = x[0], x[1]
-        p = p_fixed if fixed_p else _p_transform(x[2])
-        return a0, float(np.exp(u)), float(p)
+        return x[0], float(np.exp(x[1])), float(_p_transform(x[2]))
 
     def residual(x: np.ndarray) -> np.ndarray:
         a0, g, p = unpack(x)
@@ -338,18 +324,15 @@ def fit_stretched_exp(
         a0, g, p = unpack(x)
         w = (g * t) ** p
         core = np.exp(-w)
-        jac = np.empty((len(t), len(x)))
+        jac = np.empty((len(t), 3))
         jac[:, 0] = core / sig
         jac[:, 1] = a0 * core * (-p * w) / sig  # d/du with gamma = e^u
-        if not fixed_p:
-            s_v = 1.0 / (1.0 + np.exp(-x[2]))
-            dp_dv = 2.5 * s_v * (1.0 - s_v)
-            jac[:, 2] = a0 * core * (-w * np.log(g * t)) * dp_dv / sig
+        s_v = 1.0 / (1.0 + np.exp(-x[2]))
+        dp_dv = 2.5 * s_v * (1.0 - s_v)
+        jac[:, 2] = a0 * core * (-w * np.log(g * t)) * dp_dv / sig
         return jac
 
-    x0 = [a0_init, np.log(g_init)]
-    if not fixed_p:
-        x0.append(_p_inverse(p_init))
+    x0 = [a0_init, np.log(g_init), _p_inverse(p_init)]
     # trial steps on a curve the model cannot follow overflow exp or take
     # log(0); the inf/nan they give end as rejected steps or converged=False
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -358,16 +341,12 @@ def fit_stretched_exp(
         if abs(a0) < 1e-9:
             ok, msg = False, "degenerate fit: vanishing amplitude"
         # delta-method transform of the covariance to physical parameters
-        n_par = len(x)
-        tmat = np.eye(n_par)
+        tmat = np.eye(3)
         tmat[1, 1] = g  # dgamma/du
-        if not fixed_p:
-            s_v = 1.0 / (1.0 + np.exp(-x[2]))
-            tmat[2, 2] = 2.5 * s_v * (1.0 - s_v)
+        s_v = 1.0 / (1.0 + np.exp(-x[2]))
+        tmat[2, 2] = 2.5 * s_v * (1.0 - s_v)
         cov = tmat @ cov_t @ tmat.T
     params = {"alpha0": float(a0), "gamma2_hz": float(g), "p": float(p)}
-    if fixed_p:
-        cov = np.pad(cov, ((0, 1), (0, 1)))
     return FitResult(params, cov, rnorm, it, ok, msg)
 
 
@@ -375,17 +354,9 @@ def fit_stretched_exp(
 # Sensitivity accounting
 
 
-def min_field(alpha: float, nu_slope: float, sigma_s: float) -> float:
-    """Smallest resolvable field: sigma_S / |alpha * nu_slope|."""
-    slope = alpha * nu_slope
-    if slope == 0:
-        raise InfeasibleError("zero signal slope; field not resolvable")
-    return abs(sigma_s / slope)
-
-
 def precession_rate(n_spins: int, tau_s: float) -> float:
     """Signal phase per gauss under a Hahn echo: n * gamma_e * f_hat * tau (rad/G)."""
-    return n_spins * CONSTANTS.gamma_e * F_HAT_ECHO * tau_s
+    return n_spins * GAMMA_E * F_HAT_ECHO * tau_s
 
 
 def gain_performance(
@@ -427,48 +398,35 @@ def gain_sensitivity(
     factor: NuclearFactor,
     budget: TimingBudget,
     ladder: Sequence[float],
-    m: int,
-    sigma_s: float = 0.05,
+    m: int | np.ndarray,
 ) -> SensitivityReport:
-    """Fixed-total-time gain g~ = g * SNR-gain(m) * h(tau, m) with report."""
+    """Fixed-total-time gain g~ = g * SNR-gain(m) * h(tau, m) with report.
+
+    m may be an array of repetition counts; h, g~ and the SNR gain then
+    have its shape.  A scalar m gives floats.  Raises InfeasibleError when
+    the two-spin amplitude, and with it the signal slope, is 0.
+    """
     ladder = np.asarray(ladder, dtype=float)
-    if m < 0 or m >= len(ladder):
+    m = np.asarray(m)
+    if np.any(m < 0) or np.any(m >= len(ladder)):
         raise ValueError("repetition count outside the ladder range")
     g = gain_performance(tau_s, envelope_nv, envelope_two, factor)
-    budget_m = replace(budget, tau_s=tau_s, repetitions=m)
-    h = overhead_factor(budget_m)
-    snr = float(snr_gain(ladder[: m + 1])[-1])
-    alpha_two = envelope_two.amplitude(tau_s) * factor.amplitude_factor
-    db = min_field(alpha_two, precession_rate(2, tau_s), sigma_s) / snr
-    eta = db * np.sqrt(budget_m.shot_time)
-    return SensitivityReport(
-        delta_b_gauss=float(db),
-        eta_gauss_rthz=float(eta),
-        g=float(g),
-        h=float(h),
-        g_tilde=float(g * snr * h),
-        snr_gain=snr,
-        repetitions=m,
-        assumptions={
-            "n_spins": 2,
-            "nuclear_polarization": factor.polarization,
-            "transitions_addressed": factor.transitions,
-            "sigma_s": sigma_s,
-            "f_hat": F_HAT_ECHO,
-        },
-    )
+    if envelope_two.amplitude(tau_s) * factor.amplitude_factor == 0:
+        raise InfeasibleError("zero signal slope; field not resolvable")
+    h = overhead_factor(replace(budget, tau_s=tau_s, repetitions=m))
+    snr = snr_gain(ladder)[m]
+    return SensitivityReport(g=g, h=h, g_tilde=g * snr * h, snr_gain=snr)
 
 
 def snr_bound_check(report: SensitivityReport) -> tuple[bool, list[str]]:
-    """Verify g <= n and g * SNR-gain <= n * SNR-gain; list any violations."""
-    n = int(report.assumptions.get("n_spins", 2))
+    """Verify the two-spin bounds g <= 2 and g * SNR-gain <= 2 * SNR-gain; list any violations."""
     issues: list[str] = []
-    if report.g > n + 1e-12:
-        issues.append(f"gain in performance {report.g:.4f} exceeds the n-spin bound {n}")
+    if report.g > 2 + 1e-12:
+        issues.append(f"gain in performance {report.g:.4f} exceeds the n-spin bound 2")
     g_rr = report.g * report.snr_gain
-    if g_rr > n * report.snr_gain + 1e-12:
+    if g_rr > 2 * report.snr_gain + 1e-12:
         issues.append(
-            f"repetitive-readout gain {g_rr:.4f} exceeds n*SNR(m) = {n * report.snr_gain:.4f}"
+            f"repetitive-readout gain {g_rr:.4f} exceeds n*SNR(m) = {2 * report.snr_gain:.4f}"
         )
     if not 0.0 < report.h <= 1.0:
         issues.append(f"overhead factor {report.h:.4f} outside (0, 1]")
@@ -483,24 +441,24 @@ def sweep_gain_map(
     d_axis_hz: Sequence[float],
     ratio_axis: Sequence[float],
     use_repetitive_readout: bool,
-    alpha0_nv: float = 0.96,
-    alpha0_two: float = 0.78,
-    gamma2_nv_hz: float = 22.0e3,
-    p: float = 1.6,
-    tau_nv_s: float = 5.7e-6,
-    tau_phi_exp_s: float = 21.0e-6,
-    d_exp_hz: float = 58.0e3,
-    tau_rr_s: float = 6.1e-6,
-    m_max: int = 30,
-    tau_points: int = 600,
+    ladder: Sequence[float],
+    alpha0_nv: float,
+    alpha0_two_spin: float,
+    gamma2_nv_hz: float,
+    p: float,
+    tau_nv_s: float,
+    tau_phi_at_d_exp_s: float,
+    d_exp_hz: float,
+    tau_rr_s: float,
 ) -> SweepGrid:
     """Max gain-in-sensitivity over (tau, m) per (coupling, ratio) cell.
 
     The two-spin preparation time scales inversely with the coupling; the
     two-spin decoherence rate is additive, Gamma2 = Gamma2_NV * (1 +
     ratio); nuclear polarization q = 1 throughout.  The cell gain is
-    g(ratio, tau) * SNR-gain(m) * h(d, tau, m), maximized over tau, and
-    over m with repetitive readout (m = 0 without).  g is computed once
+    g(ratio, tau) * SNR-gain(m) * h(d, tau, m), maximized over 600
+    log-spaced tau from 1 us to 5 / Gamma2_NV, and with repetitive readout
+    over the readouts m of ``ladder`` (m = 0 without).  g is computed once
     for all ratios and h once per coupling, by ``overhead_factor``.  With
     repetitive readout each coupling first bounds every (ratio, tau) cell
     by g * max_m(SNR * h), which is within 2 ulp of the cell's exact max
@@ -517,35 +475,23 @@ def sweep_gain_map(
     does not underflow where the quotient of the two amplitudes does (the
     NV amplitude reaching 0 leaves that quotient undefined), and the
     per-cell reference test pins this exact expression.
-
-    The repetitive-readout ladder is one of three readout-ladder models,
-    each chosen for what its figure needs:
-
-    - fig4b uses the digitised per-readout amplitudes (``FIG4B_LADDER``);
-    - fig2d uses a stretched ladder fitted to both measured working
-      points, amplitude sum 4.2 and SNR gain 1.91 at m = 9;
-    - this sweep (fig4c) needs a closed form out to ``m_max`` = 30, past
-      the measured readouts, so it uses the one-parameter geometric
-      ladder a_k = r**k with r matched to the gain 1.91 at m = 9.
     """
     d_axis = np.asarray(d_axis_hz, dtype=float)
     ratios = np.asarray(ratio_axis, dtype=float)
-    ladder_ratio = geometric_ratio_for_gain(1.91, 9)
-    ladder = ladder_ratio ** np.arange(m_max + 1)
-    tau_grid = np.geomspace(1e-6, 5.0 / gamma2_nv_hz, tau_points)
+    tau_grid = np.geomspace(1e-6, 5.0 / gamma2_nv_hz, 600)
     gamma2_two = gamma2_nv_hz * (1.0 + ratios)
-    amp_ratio = (alpha0_two / alpha0_nv) * np.exp(
+    amp_ratio = (alpha0_two_spin / alpha0_nv) * np.exp(
         (gamma2_nv_hz * tau_grid) ** p - (gamma2_two[:, None] * tau_grid) ** p
     )
     g = 2.0 * amp_ratio  # (ratio, tau); q = 1: nuclear factor unity
     if use_repetitive_readout:
-        repetitions = np.arange(m_max + 1)[:, None]
+        repetitions = np.arange(len(ladder))[:, None]
         snr = snr_gain(ladder)[:, None]
     else:
         repetitions = 1  # a single readout: no repetition dead time
     values = np.zeros((len(ratios), len(d_axis)))
     for j, d in enumerate(d_axis):
-        tau_phi = tau_phi_exp_s * (d_exp_hz / d)
+        tau_phi = tau_phi_at_d_exp_s * (d_exp_hz / d)
         h = overhead_factor(TimingBudget(tau_grid, tau_nv_s, tau_phi, tau_rr_s, repetitions))
         if not use_repetitive_readout:
             values[:, j] = (g * h).max(axis=1)
@@ -555,34 +501,19 @@ def sweep_gain_map(
         near = (approx >= (1.0 - 1e-13) * rowmax) | (rowmax < 2.0**-1000)
         ii, ts = np.nonzero(near & (g > 0))
         np.maximum.at(values, (ii, j), (snr * g[ii, ts] * h[:, ts]).max(axis=0))
-    return SweepGrid(
-        d_axis_hz=d_axis,
-        ratio_axis=ratios,
-        values=values,
-        fixed_inputs={
-            "alpha0_nv": alpha0_nv,
-            "alpha0_two_spin": alpha0_two,
-            "gamma2_nv_hz": gamma2_nv_hz,
-            "p": p,
-            "tau_nv_s": tau_nv_s,
-            "tau_phi_at_d_exp_s": tau_phi_exp_s,
-            "d_exp_hz": d_exp_hz,
-            "tau_rr_s": tau_rr_s,
-            "nuclear_polarization": 1.0,
-            "repetitive_readout": use_repetitive_readout,
-            "ladder_ratio": ladder_ratio,
-            "m_max": m_max,
-        },
-    )
+    return SweepGrid(d_axis_hz=d_axis, ratio_axis=ratios, values=values)
 
 
-def unity_crossing(x: np.ndarray, y: np.ndarray) -> float:
-    """First x where y crosses 1 from above, by linear interpolation."""
+def unity_crossing(x: np.ndarray, y: np.ndarray) -> float | None:
+    """First x where y crosses 1 from above, by linear interpolation.
+
+    None when y does not start above 1 or never falls below it on this grid.
+    """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     below = np.nonzero(y < 1.0)[0]
     if len(below) == 0 or below[0] == 0:
-        raise InfeasibleError("curve does not cross unity from above on this grid")
+        return None
     k = below[0]
     x0, x1, y0, y1 = x[k - 1], x[k], y[k - 1], y[k]
     return float(x0 + (1.0 - y0) * (x1 - x0) / (y1 - y0))
@@ -593,16 +524,15 @@ def required_amplitude_ratio_scale(
     envelope_two: DecoherenceEnvelope,
     factor: NuclearFactor,
     budget: TimingBudget,
-    tau_grid: np.ndarray | None = None,
 ) -> float:
     """Scale on the two-spin amplitude needed for max-over-tau g~ = 1 (m = 1).
 
     Reported rather than asserted: quantifies how much better the
     coherent-amplitude ratio would have to be for a net sensitivity gain
-    without repetitive readout.
+    without repetitive readout.  The max is over 2000 log-spaced tau from
+    1 us to 5 / gamma2_NV.
     """
-    if tau_grid is None:
-        tau_grid = np.geomspace(1e-6, 5.0 / envelope_nv.gamma2_hz, 2000)
+    tau_grid = np.geomspace(1e-6, 5.0 / envelope_nv.gamma2_hz, 2000)
     g = gain_performance(tau_grid, envelope_nv, envelope_two, factor)
     h = overhead_factor(replace(budget, tau_s=tau_grid, repetitions=1))
     peak = float(np.max(g * h))

@@ -8,8 +8,10 @@
 Exit codes: 0 success; 2 config parse/validation failure; 3 one or more
 fits failed to converge (the outputs are still written), or a valid
 config admits no solution, such as an unreachable calibration target or
-a gain curve that never crosses unity (nothing is written; one stderr
+a decay amplitude that underflows to 0 (nothing is written; one stderr
 line names the scenario and the config keys behind the failing inputs).
+A gain curve that never crosses unity is not a failure: its crossing is
+written as null.
 """
 
 from __future__ import annotations

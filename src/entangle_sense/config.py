@@ -136,7 +136,7 @@ def _merge(base: dict, override: dict, path: str, diagnostics: list[str]) -> dic
 
 
 def _check_number(data: dict, path: str, low: float, high: float, diagnostics: list[str],
-                  required: bool = True, integer: bool = False, low_open: bool = False) -> Any:
+                  integer: bool = False, low_open: bool = False) -> Any:
     """Check one numeric parameter; return its value when valid, else None.
 
     low_open excludes the lower bound, for values the scenarios divide by
@@ -146,8 +146,7 @@ def _check_number(data: dict, path: str, low: float, high: float, diagnostics: l
     for part in path.split("."):
         node = node.get(part) if isinstance(node, dict) else None
     if node is None:
-        if required:
-            diagnostics.append(f"{path}: required parameter is missing")
+        diagnostics.append(f"{path}: required parameter is missing")
         return None
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         diagnostics.append(f"{path}: expected a number, got {type(node).__name__}")
@@ -162,10 +161,21 @@ def _check_number(data: dict, path: str, low: float, high: float, diagnostics: l
     return node
 
 
-def _check_below(low_path: str, low: Any, high_path: str, high: Any, diagnostics: list[str]) -> None:
-    """Cross-field rule low < high, checked only when both values are valid."""
-    if low is not None and high is not None and not low < high:
+def _check_axis(low_path: str, low: Any, high_path: str, high: Any, points: Any,
+                diagnostics: list[str]) -> None:
+    """Cross-field rules of a sweep axis, checked only when all three values are valid.
+
+    low < high, and the linspace of ``points`` values between them is
+    strictly increasing (bounds a few ulp apart repeat a point).
+    """
+    if low is None or high is None or points is None:
+        return
+    if not low < high:
         diagnostics.append(f"{low_path}: value {low} must be below {high_path} ({high})")
+    elif np.any(np.diff(np.linspace(low, high, int(points))) <= 0):
+        diagnostics.append(
+            f"{low_path}: value {low} too close to {high_path} ({high}) for {points} distinct points"
+        )
 
 
 def validate(data: dict[str, Any]) -> list[str]:
@@ -203,12 +213,12 @@ def validate(data: dict[str, Any]) -> list[str]:
         )
     d_min = _check_number(data, "sweep.d_min_hz", 1.0, 1e9, diagnostics)
     d_max = _check_number(data, "sweep.d_max_hz", 1.0, 1e9, diagnostics)
-    _check_below("sweep.d_min_hz", d_min, "sweep.d_max_hz", d_max, diagnostics)
-    _check_number(data, "sweep.d_points", 2, 1000, diagnostics, integer=True)
+    d_points = _check_number(data, "sweep.d_points", 2, 1000, diagnostics, integer=True)
+    _check_axis("sweep.d_min_hz", d_min, "sweep.d_max_hz", d_max, d_points, diagnostics)
     ratio_min = _check_number(data, "sweep.ratio_min", 0.0, 100.0, diagnostics)
     ratio_max = _check_number(data, "sweep.ratio_max", 0.0, 100.0, diagnostics)
-    _check_below("sweep.ratio_min", ratio_min, "sweep.ratio_max", ratio_max, diagnostics)
-    _check_number(data, "sweep.ratio_points", 2, 1000, diagnostics, integer=True)
+    ratio_points = _check_number(data, "sweep.ratio_points", 2, 1000, diagnostics, integer=True)
+    _check_axis("sweep.ratio_min", ratio_min, "sweep.ratio_max", ratio_max, ratio_points, diagnostics)
     _check_number(data, "sweep.m_max", 0, 1000, diagnostics, integer=True)
     _check_number(data, "run.seed", 0, 2**63 - 1, diagnostics, integer=True)
     _check_number(data, "run.trajectories", 1, 10**9, diagnostics, integer=True)

@@ -20,14 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .spinsys import (
-    CONSTANTS,
-    DensityState,
-    LayoutError,
-    SpinLayout,
-    build_operator,
-    PhysicalConstants,
-)
+from .spinsys import GAMMA_E, DensityState, LayoutError, SpinLayout, build_operator
 
 HAMILTONIAN_HERMITICITY_TOL = 1e-12
 
@@ -37,14 +30,13 @@ EXCHANGE_BLOCKS = {"zq": (1, 2), "dq": (0, 3)}  # |01>, |10> and |00>, |11>
 
 @dataclass(frozen=True)
 class DriveTerm:
-    """Resonant microwave drive on one spin: Omega*(cos(phi)Sx + sin(phi)Sy) + delta*Sz."""
+    """Resonant microwave drive on one spin: Omega*(cos(phi)Sx + sin(phi)Sy)."""
 
     rabi: float  # angular frequency, rad/s
     phase: float = 0.0  # rad
-    detuning: float = 0.0  # angular frequency, rad/s
 
     def __post_init__(self) -> None:
-        for name in ("rabi", "phase", "detuning"):
+        for name in ("rabi", "phase"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"drive {name} must be finite")
 
@@ -56,7 +48,6 @@ class HamiltonianSpec:
     layout: SpinLayout
     drives: Mapping[str, DriveTerm] = field(default_factory=dict)
     coupling_hz: float = 0.0  # dressed-frame exchange rate d, between NV and Xe
-    constants: PhysicalConstants = CONSTANTS
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.coupling_hz):
@@ -79,7 +70,6 @@ class HamiltonianSpec:
                 np.cos(drv.phase) * self._single(label, "Sx")
                 + np.sin(drv.phase) * self._single(label, "Sy")
             )
-            h += drv.detuning * self._single(label, "Sz")
         if self.coupling_hz != 0.0:
             spec = {lbl: "I" for lbl in self.layout.subsystems}
             spec["NV"] = "Sz"
@@ -121,20 +111,6 @@ class DecoherenceEnvelope:
     def amplitude(self, t):
         """Nominal amplitude alpha0 times the decay factor."""
         return self.alpha0 * self.decay(t)
-
-
-@dataclass(frozen=True)
-class DrivenDecayModel:
-    """Exponential damping of exchange oscillations under continuous drive."""
-
-    t1rho_s: float
-
-    def __post_init__(self) -> None:
-        if self.t1rho_s <= 0:
-            raise ValueError("t1rho must be positive")
-
-    def contrast(self, t: float) -> float:
-        return float(np.exp(-t / self.t1rho_s))
 
 
 @dataclass(frozen=True)
@@ -209,20 +185,22 @@ def optical_pump(state: DensityState, efficiency: float) -> DensityState:
     return DensityState(layout=lay, matrix=out)
 
 
-def driven_decay(state: DensityState, model: DrivenDecayModel, t: float, block: str = "zq") -> DensityState:
+def driven_decay(state: DensityState, t1rho_s: float, t: float, block: str = "zq") -> DensityState:
     """Damp exchange-oscillation contrast within one exchange subspace.
 
     Mixture of the identity (weight exp(-t/T1rho)) with a channel that
     dephases the block against its complement and replaces the block
     content by its equal-population fixed point.
     """
+    if t1rho_s <= 0:
+        raise ValueError("t1rho must be positive")
     if t < 0:
         raise ValueError("duration must be >= 0")
     if state.layout.subsystems != ("NV", "Xe"):
         raise LayoutError("exchange blocks are defined on the (NV, Xe) pair")
     if block not in EXCHANGE_BLOCKS:
         raise ValueError(f"unknown exchange block {block!r}")
-    f = model.contrast(t)
+    f = float(np.exp(-t / t1rho_s))
     i, j = EXCHANGE_BLOCKS[block]
     dim = state.layout.dim
     p = np.zeros((dim, dim))
@@ -249,9 +227,9 @@ def ou_trajectory(noise: OUNoiseModel, n_steps: int, dt: float, rng: np.random.G
     return x
 
 
-def ou_phase_variance(noise: OUNoiseModel, t: float, gamma_e: float = CONSTANTS.gamma_e) -> float:
+def ou_phase_variance(noise: OUNoiseModel, t: float) -> float:
     """Variance of the accumulated phase gamma_e * integral x(t') dt' for stationary OU."""
-    sigma_w = gamma_e * noise.sigma_b_gauss
+    sigma_w = GAMMA_E * noise.sigma_b_gauss
     tc = noise.tau_c_s
     return 2.0 * sigma_w**2 * tc * (t - tc * (1.0 - np.exp(-t / tc)))
 
@@ -290,6 +268,6 @@ def monte_carlo_propagate(
     ])
     mats = state.matrix
     for k in range(n_steps):
-        h = h0 + ham.constants.gamma_e * paths[:, k, None, None] * sz_sum
+        h = h0 + GAMMA_E * paths[:, k, None, None] * sz_sum
         mats = _evolve(mats, expm_hermitian(h, dt))
     return DensityState(layout=state.layout, matrix=mats.sum(axis=0) / noise.trajectories)

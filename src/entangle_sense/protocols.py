@@ -35,7 +35,6 @@ from .spinsys import (
 from .dynamics import (
     EXCHANGE_BLOCKS,
     DriveTerm,
-    DrivenDecayModel,
     HamiltonianSpec,
     driven_decay,
     expm_hermitian,
@@ -147,7 +146,7 @@ def apply_exchange_gate(
     u = exchange_unitary(theta, phase, block)
     out = DensityState(state.layout, u @ state.matrix @ np.swapaxes(u.conj(), -1, -2))
     if params.t1rho_s is not None:
-        out = driven_decay(out, DrivenDecayModel(params.t1rho_s), duration, block=block)
+        out = driven_decay(out, params.t1rho_s, duration, block=block)
     return _depolarize(out, params.epsilon)
 
 
@@ -206,19 +205,15 @@ def polarization_transfer(
     pump_efficiency: float,
     params: GateParams,
     initial_x_polarization: float,
-    initial_nv_polarization: float = 0.0,
 ) -> tuple[DensityState, list[float]]:
     """Alternate NV optical pumping with SWAP-type exchange gates.
 
-    Returns the final state and the X polarization after each round
-    (index 0 is the initial polarization).
+    The NV starts unpolarized.  Returns the final state and the X
+    polarization after each round (index 0 is the initial polarization).
     """
     if n_rounds < 0:
         raise ValueError("round count must be >= 0")
-    state = polarized_state(
-        TWO_SPIN_LAYOUT,
-        {"NV": initial_nv_polarization, "Xe": initial_x_polarization},
-    )
+    state = polarized_state(TWO_SPIN_LAYOUT, {"NV": 0.0, "Xe": initial_x_polarization})
     trace = [x_polarization(state)]
     for _ in range(n_rounds):
         state = optical_pump(state, pump_efficiency)
@@ -227,11 +222,11 @@ def polarization_transfer(
     return state, trace
 
 
-def prepare_entangled(state: DensityState, params: GateParams, phase: float = 0.0) -> DensityState:
+def prepare_entangled(state: DensityState, params: GateParams) -> DensityState:
     """Half-exchange entangling gate creating Bell-block coherence."""
     if state.layout != TWO_SPIN_LAYOUT:
         raise LayoutError("prepare_entangled acts on the (NV, Xe) pair")
-    return apply_exchange_gate(state, params, params.entangle_time, block="dq", phase=phase)
+    return apply_exchange_gate(state, params, params.entangle_time, block="dq")
 
 
 def disentangle(state: DensityState, params: GateParams, phase: float | np.ndarray = 0.0) -> DensityState:

@@ -17,19 +17,17 @@ from scipy.optimize import brentq, fsolve
 from .spinsys import InfeasibleError
 
 
-def snr_gain(amplitudes: Sequence[float], sigmas: Sequence[float] | None = None) -> np.ndarray:
+def snr_gain(amplitudes: Sequence[float]) -> np.ndarray:
     """Cumulative SNR gain over readouts 0..m, normalized to readout 0.
 
-    Equal per-readout noise is assumed when sigmas is omitted, so the
-    gain reduces to sqrt(sum a_k^2) / a_0.
+    Every readout has the same noise, so the gain is sqrt(sum a_k^2) / a_0.
     """
     a = np.asarray(amplitudes, dtype=float)
     if a.ndim != 1 or len(a) == 0:
         raise ValueError("amplitude ladder must be a non-empty 1-D sequence")
     if a[0] <= 0:
         raise ValueError("first readout amplitude must be positive")
-    s = np.ones_like(a) if sigmas is None else np.asarray(sigmas, dtype=float)
-    terms = (a / s) ** 2
+    terms = a**2
     return np.sqrt(np.cumsum(terms) / terms[0])
 
 
@@ -73,12 +71,21 @@ def calibrate_ladder(
 
 
 def geometric_ratio_for_gain(target_gain: float, m: int) -> float:
-    """Decay ratio r of a_k = r^k whose cumulative gain at readout m matches."""
-    if target_gain <= 1.0 or target_gain >= np.sqrt(m + 1):
-        raise ValueError("target gain must lie in (1, sqrt(m + 1))")
+    """Decay ratio r of a_k = r^k whose cumulative gain at readout m matches.
 
-    def gain(r: float) -> float:
+    Raises InfeasibleError when no r in the bracket [1e-6, 1 - 1e-9]
+    reaches the target, which is every target outside (1, sqrt(m + 1)).
+    """
+
+    def excess(r: float) -> float:
         a = r ** np.arange(m + 1)
-        return float(np.sqrt(np.sum(a**2)))
+        return float(np.sqrt(np.sum(a**2))) - target_gain
 
-    return float(brentq(lambda r: gain(r) - target_gain, 1e-6, 1.0 - 1e-9, xtol=1e-12))
+    ends = (excess(1e-6), excess(1.0 - 1e-9))
+    if ends[0] * ends[1] > 0:
+        low, high = sorted(e + target_gain for e in ends)
+        raise InfeasibleError(
+            f"SNR gain {target_gain} at m = {m} is outside the range "
+            f"[{low:.6g}, {high:.6g}] that geometric ladders reach"
+        )
+    return float(brentq(excess, 1e-6, 1.0 - 1e-9, xtol=1e-12))

@@ -49,7 +49,7 @@ from .protocols import (
     prepare_entangled,
     verify_phase_recipes,
 )
-from .readout import calibrate_ladder, snr_gain, stretched_ladder
+from .readout import calibrate_ladder, geometric_ratio_for_gain, snr_gain, stretched_ladder
 from .spinsys import InfeasibleError, bell_coherence, build_operator, polarized_state
 
 # Reconstructed per-readout amplitude ladder for the repetitive-readout
@@ -356,7 +356,6 @@ def run_fig4a(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
         g_q1 = gain_performance(tau_grid, env_nv, env_two, polarized)
         g_q0 = gain_performance(tau_grid, env_nv, env_two, NuclearFactor(0.0, 1))
         scale = required_amplitude_ratio_scale(env_nv, env_two, polarized, budget)
-        crossing = unity_crossing(tau_grid, g_q1)
     columns = {
         "tau[s]": tau_grid,
         "gain_performance_q1[1]": g_q1,
@@ -365,7 +364,7 @@ def run_fig4a(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
         "gain_sensitivity_q0[1]": g_q0 * h,
     }
     summary = {
-        "unity_crossing_tau_s": crossing,
+        "unity_crossing_tau_s": unity_crossing(tau_grid, g_q1),
         "max_gain_q0": float(np.max(g_q0)),
         "max_gain_q1": float(np.max(g_q1)),
         "required_two_spin_amplitude_scale_for_unit_sensitivity": scale,
@@ -392,16 +391,13 @@ def run_fig4b(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
     for tag, q in (("q0", 0.0), ("q1", 1.0)):
         factor = NuclearFactor(q, 1)
         with _config_keys(*GAIN_AMPLITUDE_KEYS):
-            reports = [
-                gain_sensitivity(tau, env_nv, env_two, factor, budget, ladder, int(m))
-                for m in m_values
-            ]
-        g_tilde = np.array([r.g_tilde for r in reports])
-        g_rr = np.array([r.g * r.snr_gain for r in reports])
+            report = gain_sensitivity(tau, env_nv, env_two, factor, budget, ladder, m_values)
+        g_tilde = report.g_tilde
+        g_rr = report.g * report.snr_gain
         columns[f"gain_sensitivity_{tag}[1]"] = g_tilde
         columns[f"gain_rr_{tag}[1]"] = g_rr
         best = int(np.argmax(g_tilde))
-        ok, issues = snr_bound_check(reports[best])
+        ok, issues = snr_bound_check(gain_sensitivity(tau, env_nv, env_two, factor, budget, ladder, best))
         results[tag] = {
             "best_m": best,
             "max_gain_sensitivity": float(g_tilde[best]),
@@ -415,27 +411,43 @@ def run_fig4b(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
 
 
 def run_fig4c(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict]:
-    """Maximum achievable sensitivity gain over coupling and decoherence."""
+    """Maximum achievable sensitivity gain over coupling and decoherence.
+
+    The repetitive-readout ladder is one of three readout-ladder models,
+    each chosen for what its figure needs:
+
+    - fig4b uses the digitised per-readout amplitudes (``FIG4B_LADDER``);
+    - fig2d uses a stretched ladder fitted to both measured working
+      points, ``readout.amplitude_sum`` and ``readout.snr_at_m``;
+    - this sweep needs a closed form out to ``sweep.m_max``, past the
+      measured readouts, so it uses the one-parameter geometric ladder
+      a_k = r**k with r matched to ``readout.snr_at_m`` at
+      ``readout.m_max``.
+    """
     d_axis = np.linspace(cfg["sweep.d_min_hz"], cfg["sweep.d_max_hz"], int(cfg["sweep.d_points"]))
     ratio_axis = np.linspace(
         cfg["sweep.ratio_min"], cfg["sweep.ratio_max"], int(cfg["sweep.ratio_points"])
     )
-    common = dict(
+    m_max = int(cfg["sweep.m_max"])
+    with _config_keys("readout.snr_at_m", "readout.m_max"):
+        ladder_ratio = geometric_ratio_for_gain(cfg["readout.snr_at_m"], int(cfg["readout.m_max"]))
+    ladder = ladder_ratio ** np.arange(m_max + 1)
+    d_exp = cfg["coupling.d_hz"]
+    fixed = dict(
         alpha0_nv=cfg["decoherence.alpha0_nv"],
-        alpha0_two=cfg["decoherence.alpha0_two_spin"],
+        alpha0_two_spin=cfg["decoherence.alpha0_two_spin"],
         gamma2_nv_hz=cfg["decoherence.gamma2_nv_hz"],
         p=cfg["decoherence.p"],
         tau_nv_s=cfg["budget.tau_nv_s"],
-        tau_phi_exp_s=cfg["budget.tau_phi_s"],
-        d_exp_hz=58.0e3,
+        tau_phi_at_d_exp_s=cfg["budget.tau_phi_s"],
+        d_exp_hz=d_exp,
         tau_rr_s=cfg["budget.tau_rr_s"],
-        m_max=int(cfg["sweep.m_max"]),
     )
-    grid_norr = sweep_gain_map(d_axis, ratio_axis, use_repetitive_readout=False, **common)
-    grid_rr = sweep_gain_map(d_axis, ratio_axis, use_repetitive_readout=True, **common)
+    grid_norr = sweep_gain_map(d_axis, ratio_axis, False, ladder, **fixed)
+    grid_rr = sweep_gain_map(d_axis, ratio_axis, True, ladder, **fixed)
     exp_ratio = cfg["decoherence.gamma2_x_hz"] / cfg["decoherence.gamma2_nv_hz"]
     i_exp = int(np.argmin(np.abs(ratio_axis - exp_ratio)))
-    j_exp = int(np.argmin(np.abs(d_axis - 58.0e3)))
+    j_exp = int(np.argmin(np.abs(d_axis - d_exp)))
 
     def crossing_d(grid) -> float | None:
         row = grid.values[i_exp, :]
@@ -445,12 +457,6 @@ def run_fig4c(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
         k = above[0]
         x0, x1, y0, y1 = d_axis[k - 1], d_axis[k], row[k - 1], row[k]
         return float(x0 + (1.0 - y0) * (x1 - x0) / (y1 - y0))
-
-    def crossing_ratio(grid) -> float | None:
-        try:
-            return unity_crossing(ratio_axis, grid.values[:, j_exp])
-        except InfeasibleError:
-            return None
 
     columns = {
         "d[Hz]": np.repeat(d_axis, len(ratio_axis)),
@@ -462,14 +468,20 @@ def run_fig4c(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
         "experimental_cell": {
             "d_hz": float(d_axis[j_exp]),
             "gamma2_ratio": float(ratio_axis[i_exp]),
-            "max_gain_no_rr": grid_norr.cell(58.0e3, exp_ratio),
-            "max_gain_with_rr": grid_rr.cell(58.0e3, exp_ratio),
+            "max_gain_no_rr": float(grid_norr.values[i_exp, j_exp]),
+            "max_gain_with_rr": float(grid_rr.values[i_exp, j_exp]),
         },
         "boundary_no_rr": {
             "d_crossing_hz_at_experimental_ratio": crossing_d(grid_norr),
-            "ratio_crossing_at_experimental_d": crossing_ratio(grid_norr),
+            "ratio_crossing_at_experimental_d": unity_crossing(ratio_axis, grid_norr.values[:, j_exp]),
         },
-        "fixed_inputs": grid_norr.fixed_inputs,
+        "fixed_inputs": {
+            **fixed,
+            "nuclear_polarization": 1.0,
+            "repetitive_readout": False,
+            "ladder_ratio": ladder_ratio,
+            "m_max": m_max,
+        },
         "converged": True,
     }
     return columns, summary

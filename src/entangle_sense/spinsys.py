@@ -47,8 +47,8 @@ class StateError(ValueError):
 class InfeasibleError(ValueError):
     """Raised when valid inputs admit no solution.
 
-    A calibration target out of reach, a gain curve that never crosses
-    unity, a signal without slope.  ``config_keys`` names the config
+    A calibration target out of reach, a decay that underflows, a signal
+    without slope.  ``config_keys`` names the config
     parameters behind the inputs, once a scenario has attached them.
     """
 
@@ -89,18 +89,8 @@ def layout(*labels: str) -> SpinLayout:
     return SpinLayout(tuple(labels))
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Electronic gyromagnetic ratio, angular frequency per Gauss."""
-
-    gamma_e: float = 2.0 * np.pi * 2.8e6
-
-    def __post_init__(self) -> None:
-        if self.gamma_e <= 0:
-            raise ValueError("gamma_e must be positive")
-
-
-CONSTANTS = PhysicalConstants()
+# electronic gyromagnetic ratio, angular frequency per Gauss
+GAMMA_E = 2.0 * np.pi * 2.8e6
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,12 @@ import pytest
 from entangle_sense.analysis import (
     FitError,
     MagnetometryCurve,
-    SensitivityReport,
     TimingBudget,
     check_jacobian,
     fit_sinusoid,
     fit_stretched_exp,
     gain_performance,
     gain_sensitivity,
-    min_field,
     overhead_factor,
     precession_rate,
     required_amplitude_ratio_scale,
@@ -22,13 +20,21 @@ from entangle_sense.analysis import (
     unity_crossing,
     write_curve_csv,
 )
+from entangle_sense.config import DEFAULTS
 from entangle_sense.dynamics import DecoherenceEnvelope
 from entangle_sense.protocols import NuclearFactor
 from entangle_sense.readout import geometric_ratio_for_gain, snr_gain
-from entangle_sense.spinsys import CONSTANTS, InfeasibleError
+from entangle_sense.scenarios import FIG4B_LADDER
+from entangle_sense.spinsys import GAMMA_E, InfeasibleError
 
 ENV_NV = DecoherenceEnvelope(0.96, 22e3, 1.6)
 ENV_TWO = DecoherenceEnvelope(0.78, 36e3, 1.6)
+TIMES = DEFAULTS["budget"]
+
+
+def _budget(tau_s, repetitions=1, **times):
+    """TimingBudget with the default dead times, any of them overridden."""
+    return TimingBudget(tau_s, **{**TIMES, **times}, repetitions=repetitions)
 
 
 def _sine_curve(alpha, nu, phi, c, sigma, n=60, seed=None, n_spins=1, tau=10e-6):
@@ -44,7 +50,7 @@ def _sine_curve(alpha, nu, phi, c, sigma, n=60, seed=None, n_spins=1, tau=10e-6)
 
 
 def test_sinusoid_noiseless_recovery():
-    nu = 2 * CONSTANTS.gamma_e * (2 / np.pi) * 10e-6
+    nu = 2 * GAMMA_E * (2 / np.pi) * 10e-6
     fit = fit_sinusoid(_sine_curve(0.8, nu, 0.3, 0.1, 1e-9))
     assert fit.converged
     assert fit.parameters["amplitude"] == pytest.approx(0.8, rel=1e-6)
@@ -112,10 +118,12 @@ def test_stretched_exp_recovery_at_snr_50():
 
 
 def test_stretched_exp_p_fixed_exponential():
+    # data with p fixed at 1; the fit leaves p free and must find it
     t = np.linspace(1e-6, 60e-6, 30)
     y = 0.8 * np.exp(-30e3 * t)
-    fit = fit_stretched_exp(t, y, 1e-6, p_fixed=1.0)
+    fit = fit_stretched_exp(t, y, 1e-6)
     assert fit.converged
+    assert fit.parameters["p"] == pytest.approx(1.0, rel=1e-6)
     assert fit.parameters["gamma2_hz"] == pytest.approx(30e3, rel=1e-6)
     assert fit.parameters["alpha0"] == pytest.approx(0.8, rel=1e-6)
 
@@ -191,15 +199,13 @@ def test_jacobians_match_finite_differences():
 # sensitivity accounting
 
 
-def test_min_field_examples():
-    nu = precession_rate(1, 10e-6)
-    base = min_field(0.9, nu, 0.05)
-    assert base == pytest.approx(0.05 / (0.9 * 2 * np.pi * 2.8e6 * (2 / np.pi) * 1e-5), rel=1e-12)
-    assert base == pytest.approx(4.96e-4, rel=0.01)
-    assert min_field(1.8, nu, 0.05) == pytest.approx(base / 2)
-    assert min_field(0.9, precession_rate(2, 10e-6), 0.05) == pytest.approx(base / 2)
-    with pytest.raises(ValueError):
-        min_field(0.0, nu, 0.05)
+def test_gain_sensitivity_zero_two_spin_amplitude_is_infeasible():
+    # a two-spin signal without amplitude has no slope in the field
+    for env_two in (DecoherenceEnvelope(0.0, 36e3, 1.6), DecoherenceEnvelope(0.78, 1e8, 1.6)):
+        assert env_two.amplitude(19e-6) == 0.0
+        for m in (3, np.arange(len(FIG4B_LADDER))):
+            with pytest.raises(InfeasibleError, match="zero signal slope; field not resolvable"):
+                gain_sensitivity(19e-6, ENV_NV, env_two, NuclearFactor(1.0, 1), _budget(19e-6), FIG4B_LADDER, m)
 
 
 def test_gain_bound_saturation():
@@ -245,74 +251,73 @@ def test_gain_performance_array_names_first_underflowing_tau():
 
 def test_overhead_factor_array_matches_scalar_calls():
     taus = np.linspace(1e-6, 100e-6, 200)
-    h = overhead_factor(TimingBudget(taus, repetitions=1))
-    assert np.array_equal(h, [overhead_factor(TimingBudget(t, repetitions=1)) for t in taus])
+    h = overhead_factor(_budget(taus, repetitions=1))
+    assert np.array_equal(h, [overhead_factor(_budget(t, repetitions=1)) for t in taus])
     m = np.arange(12)
-    hm = overhead_factor(TimingBudget(19e-6, repetitions=m))
-    assert np.array_equal(hm, [overhead_factor(TimingBudget(19e-6, repetitions=k)) for k in m])
-    grid = overhead_factor(TimingBudget(taus, repetitions=m[:, None]))
+    hm = overhead_factor(_budget(19e-6, repetitions=m))
+    assert np.array_equal(hm, [overhead_factor(_budget(19e-6, repetitions=k)) for k in m])
+    grid = overhead_factor(_budget(taus, repetitions=m[:, None]))
     assert grid.shape == (12, 200)
-    assert np.array_equal(grid[5], [overhead_factor(TimingBudget(t, repetitions=5)) for t in taus])
-    assert isinstance(overhead_factor(TimingBudget(19e-6)), float)
+    assert np.array_equal(grid[5], [overhead_factor(_budget(t, repetitions=5)) for t in taus])
+    assert isinstance(overhead_factor(_budget(19e-6)), float)
 
 
 def test_timing_budget_rejects_negative_array_element():
     taus = np.linspace(1e-6, 60e-6, 10)
-    TimingBudget(taus, repetitions=np.arange(5)[:, None])
+    _budget(taus, repetitions=np.arange(5)[:, None])
     with pytest.raises(ValueError, match="times must be >= 0"):
-        TimingBudget(np.where(taus > 30e-6, -1e-6, taus))
+        _budget(np.where(taus > 30e-6, -1e-6, taus))
     with pytest.raises(ValueError, match="repetition count must be >= 0"):
-        TimingBudget(taus, repetitions=np.array([3, 1, -1, 2]))
+        _budget(taus, repetitions=np.array([3, 1, -1, 2]))
 
 
 def test_overhead_factor_values():
-    assert overhead_factor(TimingBudget(19e-6, repetitions=1)) == pytest.approx(0.735, abs=1e-3)
-    assert overhead_factor(TimingBudget(1.0, tau_phi_s=0.0, tau_nv_s=0.0)) == pytest.approx(1.0)
+    assert overhead_factor(_budget(19e-6, repetitions=1)) == pytest.approx(0.735, abs=1e-3)
+    assert overhead_factor(_budget(1.0, tau_phi_s=0.0, tau_nv_s=0.0)) == pytest.approx(1.0)
     # tau -> infinity limit
-    assert overhead_factor(TimingBudget(10.0, repetitions=1)) > 0.999
+    assert overhead_factor(_budget(10.0, repetitions=1)) > 0.999
 
 
 def test_overhead_monotonicity():
     taus = np.linspace(1e-6, 100e-6, 200)
-    h = [overhead_factor(TimingBudget(t, repetitions=1)) for t in taus]
+    h = [overhead_factor(_budget(t, repetitions=1)) for t in taus]
     assert np.all(np.diff(h) > 0)
-    hm = [overhead_factor(TimingBudget(19e-6, repetitions=m)) for m in range(1, 12)]
+    hm = [overhead_factor(_budget(19e-6, repetitions=m)) for m in range(1, 12)]
     assert np.all(np.diff(hm) < 0)
 
 
 def test_gain_sensitivity_ideal_reduces_to_2h():
     env = DecoherenceEnvelope(1.0, 0.0, 1.0)
-    budget = TimingBudget(19e-6)
+    budget = _budget(19e-6)
     report = gain_sensitivity(19e-6, env, env, NuclearFactor(1.0, 1), budget, [1.0], m=0)
-    h = overhead_factor(TimingBudget(19e-6, repetitions=0))
+    h = overhead_factor(_budget(19e-6, repetitions=0))
     assert report.g_tilde == pytest.approx(2 * h, rel=1e-12)
     assert report.snr_gain == pytest.approx(1.0)
 
 
 def test_snr_bound_check_detects_violation():
-    good = gain_sensitivity(
-        19e-6, ENV_NV, ENV_TWO, NuclearFactor(0.0, 1), TimingBudget(19e-6), [1.0, 0.5], 1
-    )
+    dec = DEFAULTS["decoherence"]
+    env_nv = DecoherenceEnvelope(dec["alpha0_nv"], dec["gamma2_nv_hz"], dec["p"])
+    env_two = DecoherenceEnvelope(dec["alpha0_two_spin"], dec["gamma2_two_spin_hz"], dec["p"])
+    good = gain_sensitivity(19e-6, env_nv, env_two, NuclearFactor(0.0, 1), _budget(19e-6), FIG4B_LADDER, 1)
     ok, issues = snr_bound_check(good)
     assert ok and not issues
-    bad = SensitivityReport(
-        delta_b_gauss=1e-4,
-        eta_gauss_rthz=1e-6,
-        g=2.5,
-        h=0.7,
-        g_tilde=1.75,
-        snr_gain=1.0,
-        repetitions=0,
-        assumptions={"n_spins": 2},
-    )
+    # a two-spin amplitude above the NV's lifts g past the two-spin bound
+    brighter = DecoherenceEnvelope(1.0, dec["gamma2_nv_hz"], dec["p"])
+    dimmer = DecoherenceEnvelope(0.4, dec["gamma2_nv_hz"], dec["p"])
+    bad = gain_sensitivity(19e-6, dimmer, brighter, NuclearFactor(1.0, 1), _budget(19e-6), FIG4B_LADDER, 1)
     ok, issues = snr_bound_check(bad)
-    assert not ok and issues
+    assert not ok
+    assert issues == [
+        f"gain in performance {bad.g:.4f} exceeds the n-spin bound 2",
+        f"repetitive-readout gain {bad.g * bad.snr_gain:.4f} exceeds n*SNR(m) = {2 * bad.snr_gain:.4f}",
+    ]
 
 
 def test_gain_sensitivity_unimodal_in_m_geometric_ladder():
     r = geometric_ratio_for_gain(1.91, 9)
     ladder = r ** np.arange(31)
-    budget = TimingBudget(19e-6)
+    budget = _budget(19e-6)
     gt = [
         gain_sensitivity(19e-6, ENV_NV, ENV_TWO, NuclearFactor(0.0, 1), budget, ladder, m).g_tilde
         for m in range(31)
@@ -323,24 +328,59 @@ def test_gain_sensitivity_unimodal_in_m_geometric_ladder():
     assert changes <= 1
 
 
+def test_gain_sensitivity_array_m_matches_scalar_calls():
+    geometric = geometric_ratio_for_gain(1.91, 9) ** np.arange(31)
+    for ladder, q_values in ((FIG4B_LADDER, (0.0, 1.0)), (geometric, (0.0,))):
+        m = np.arange(len(ladder))
+        for q in q_values:
+            args = (19e-6, ENV_NV, ENV_TWO, NuclearFactor(q, 1), _budget(19e-6), ladder)
+            report = gain_sensitivity(*args, m)
+            scalar = [gain_sensitivity(*args, int(k)) for k in m]
+            assert isinstance(scalar[0].g_tilde, float) and isinstance(scalar[0].h, float)
+            assert report.g == scalar[0].g
+            for field in ("h", "g_tilde", "snr_gain"):
+                assert np.array_equal(getattr(report, field), [getattr(r, field) for r in scalar]), field
+    with pytest.raises(ValueError, match="outside the ladder range"):
+        gain_sensitivity(*args, np.array([0, len(ladder)]))
+
+
 # ---------------------------------------------------------------------------
 # sweep
+
+# the fig4c inputs at the default config
+SWEEP_INPUTS = {
+    "alpha0_nv": DEFAULTS["decoherence"]["alpha0_nv"],
+    "alpha0_two_spin": DEFAULTS["decoherence"]["alpha0_two_spin"],
+    "gamma2_nv_hz": DEFAULTS["decoherence"]["gamma2_nv_hz"],
+    "p": DEFAULTS["decoherence"]["p"],
+    "tau_nv_s": TIMES["tau_nv_s"],
+    "tau_phi_at_d_exp_s": TIMES["tau_phi_s"],
+    "d_exp_hz": DEFAULTS["coupling"]["d_hz"],
+    "tau_rr_s": TIMES["tau_rr_s"],
+}
+LADDER_RATIO = geometric_ratio_for_gain(DEFAULTS["readout"]["snr_at_m"], DEFAULTS["readout"]["m_max"])
+
+
+def _ladder(m_max):
+    return LADDER_RATIO ** np.arange(m_max + 1)
+
+
+def _sweep(d_axis, ratio_axis, use_rr, m_max=DEFAULTS["sweep"]["m_max"], **overrides):
+    return sweep_gain_map(d_axis, ratio_axis, use_rr, _ladder(m_max), **{**SWEEP_INPUTS, **overrides})
 
 
 def test_sweep_monotone_in_coupling_and_ratio():
     d_axis = np.linspace(40e3, 120e3, 9)
     ratio_axis = np.linspace(0.2, 1.2, 9)
     for use_rr in (False, True):
-        grid = sweep_gain_map(d_axis, ratio_axis, use_repetitive_readout=use_rr, tau_points=200)
+        grid = _sweep(d_axis, ratio_axis, use_rr)
         assert np.all(np.diff(grid.values, axis=1) >= -1e-10)  # increasing d
         assert np.all(np.diff(grid.values, axis=0) <= 1e-10)  # increasing ratio hurts
 
 
 def test_sweep_limit_region():
     # ratio -> 0 and large d: g~ approaches 2 * alpha0 ratio (h -> 1)
-    grid = sweep_gain_map(
-        np.array([1e6, 2e6]), np.array([1e-4, 2e-4]), use_repetitive_readout=False, tau_points=400
-    )
+    grid = _sweep(np.array([1e6, 2e6]), np.array([1e-4, 2e-4]), False)
     bound = 2 * 0.78 / 0.96
     assert grid.values.max() <= bound + 1e-9
     assert grid.values.max() > 0.98 * bound
@@ -349,27 +389,25 @@ def test_sweep_limit_region():
 def test_sweep_experimental_cell_flips_with_rr():
     d_axis = np.linspace(30e3, 150e3, 25)
     ratio_axis = np.linspace(0.1, 1.4, 25)
-    norr = sweep_gain_map(d_axis, ratio_axis, use_repetitive_readout=False, tau_points=300)
-    rr = sweep_gain_map(d_axis, ratio_axis, use_repetitive_readout=True, tau_points=300)
-    assert norr.cell(58e3, 15 / 22) < 1.0
-    assert rr.cell(58e3, 15 / 22) > 1.0
+    i = int(np.argmin(np.abs(ratio_axis - 15 / 22)))
+    j = int(np.argmin(np.abs(d_axis - 58e3)))
+    assert _sweep(d_axis, ratio_axis, False).values[i, j] < 1.0
+    assert _sweep(d_axis, ratio_axis, True).values[i, j] > 1.0
 
 
-def _per_cell_sweep(d_axis, ratio_axis, use_rr, m_max, alpha0_nv=0.96, alpha0_two=0.78,
-                    gamma2_nv_hz=22.0e3, p=1.6, tau_nv_s=5.7e-6, tau_phi_exp_s=21.0e-6,
-                    d_exp_hz=58.0e3, tau_rr_s=6.1e-6, tau_points=600):
+def _per_cell_sweep(d_axis, ratio_axis, use_rr, ladder, alpha0_nv, alpha0_two_spin, gamma2_nv_hz,
+                    p, tau_nv_s, tau_phi_at_d_exp_s, d_exp_hz, tau_rr_s):
     """Reference: the sweep evaluated one (ratio, coupling) cell at a time."""
-    ladder = geometric_ratio_for_gain(1.91, 9) ** np.arange(m_max + 1)
-    tau_grid = np.geomspace(1e-6, 5.0 / gamma2_nv_hz, tau_points)
+    tau_grid = np.geomspace(1e-6, 5.0 / gamma2_nv_hz, 600)
     values = np.empty((len(ratio_axis), len(d_axis)))
     for i, ratio in enumerate(ratio_axis):
         for j, d_hz in enumerate(d_axis):
             gamma2_two = gamma2_nv_hz * (1.0 + ratio)
-            amp_ratio = (alpha0_two / alpha0_nv) * np.exp(
+            amp_ratio = (alpha0_two_spin / alpha0_nv) * np.exp(
                 (gamma2_nv_hz * tau_grid) ** p - (gamma2_two * tau_grid) ** p
             )
             g = 2.0 * amp_ratio
-            tau_phi = tau_phi_exp_s * (d_exp_hz / d_hz)
+            tau_phi = tau_phi_at_d_exp_s * (d_exp_hz / d_hz)
             useful = tau_grid + tau_nv_s
             if not use_rr:
                 h = np.sqrt(useful / (useful + tau_phi))
@@ -383,8 +421,8 @@ def _per_cell_sweep(d_axis, ratio_axis, use_rr, m_max, alpha0_nv=0.96, alpha0_tw
     return values
 
 
-# (ratio axis, sweep keywords): grids where the sweep's bound-and-recompute
-# max could pick the wrong cells
+# (ratio axis, sweep input overrides): grids where the sweep's
+# bound-and-recompute max could pick the wrong cells
 SWEEP_REFERENCE_CASES = {
     "default": (np.linspace(0.1, 1.4, 5), {}),
     # ratio 0: g flat in tau, so near-ties between tau cells decide the max
@@ -396,7 +434,7 @@ SWEEP_REFERENCE_CASES = {
     "stretch 0.5": (np.linspace(0.0, 100.0, 9), {"gamma2_nv_hz": 1e6, "p": 0.5}),
     "exponential decay": (np.linspace(0.1, 1.4, 5), {"gamma2_nv_hz": 5e3, "p": 1.0}),
     # every gain subnormal, so rounding is no longer relative
-    "subnormal gains": (np.linspace(0.1, 1.4, 5), {"alpha0_two": 1e-321}),
+    "subnormal gains": (np.linspace(0.1, 1.4, 5), {"alpha0_two_spin": 1e-321}),
 }
 
 
@@ -404,18 +442,18 @@ SWEEP_REFERENCE_CASES = {
 @pytest.mark.parametrize("m_max", [0, 1, 30])
 def test_sweep_matches_per_cell_reference(use_rr, m_max):
     d_axis = np.linspace(30e3, 150e3, 7)
-    for name, (ratio_axis, kwargs) in SWEEP_REFERENCE_CASES.items():
-        grid = sweep_gain_map(d_axis, ratio_axis, use_repetitive_readout=use_rr, m_max=m_max, **kwargs)
+    for name, (ratio_axis, overrides) in SWEEP_REFERENCE_CASES.items():
+        grid = _sweep(d_axis, ratio_axis, use_rr, m_max, **overrides)
         assert grid.values.shape == (len(ratio_axis), 7), name
-        expected = _per_cell_sweep(d_axis, ratio_axis, use_rr, m_max, **kwargs)
+        expected = _per_cell_sweep(d_axis, ratio_axis, use_rr, _ladder(m_max), **{**SWEEP_INPUTS, **overrides})
         assert np.array_equal(grid.values, expected), name
 
 
-def _sweep_peak_bytes(ratio_axis, **kwargs):
+def _sweep_peak_bytes(ratio_axis, **overrides):
     d_axis = np.linspace(30e3, 150e3, 40)
     tracemalloc.start()
     try:
-        sweep_gain_map(d_axis, ratio_axis, use_repetitive_readout=True, m_max=30, **kwargs)
+        _sweep(d_axis, ratio_axis, True, 30, **overrides)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -436,9 +474,7 @@ def test_degenerate_sweep_peak_memory_stays_small():
 
 
 def test_required_amplitude_scale_reported():
-    scale = required_amplitude_ratio_scale(
-        ENV_NV, ENV_TWO, NuclearFactor(1.0, 1), TimingBudget(19e-6)
-    )
+    scale = required_amplitude_ratio_scale(ENV_NV, ENV_TWO, NuclearFactor(1.0, 1), _budget(19e-6))
     assert scale > 1.0  # current amplitudes fall short of unit gain
     assert scale - 1.0 == pytest.approx(0.046, abs=0.01)
 

@@ -154,6 +154,12 @@ CRASHING_CONFIGS = {
     "zero_alpha0_nv": ("fig4c", {"decoherence": {"alpha0_nv": 0}}, "decoherence.alpha0_nv"),
     "amplitude_sum_one": ("fig2d", {"readout": {"amplitude_sum": 1.0}}, "readout.amplitude_sum"),
     "amplitude_sum_above_ladder": ("fig2d", {"readout": {"amplitude_sum": 11.0}}, "readout.amplitude_sum"),
+    # bounds a few ulp apart: the linspace repeats a point
+    "d_bounds_one_ulp_apart": (
+        "fig4c", {"sweep": {"d_min_hz": 1.0, "d_max_hz": 1.0000000000000002}}, "sweep.d_min_hz"),
+    "ratio_bounds_one_ulp_apart": (
+        "fig4c", {"sweep": {"ratio_min": 99.99999999999999, "ratio_max": 100}}, "sweep.ratio_min"),
+    "ratio_bounds_subnormal": ("fig4c", {"sweep": {"ratio_min": 0, "ratio_max": 5e-324}}, "sweep.ratio_min"),
 }
 
 
@@ -177,12 +183,12 @@ INFEASIBLE_CONFIGS = {
         "fig2a", {"calibration": {"one_round_x_polarization": 0.99}}, "calibration.one_round_x_polarization"),
     "all_ones_ladder": ("fig2d", {"readout": {"amplitude_sum": 10}}, "readout.amplitude_sum"),
     "unit_snr_gain": ("fig2d", {"readout": {"snr_at_m": 1.0}}, "readout.snr_at_m"),
+    "unit_snr_gain_fig4c": ("fig4c", {"readout": {"snr_at_m": 1.0}}, "readout.snr_at_m"),
+    "snr_gain_beyond_geometric_ladder": ("fig4c", {"readout": {"snr_at_m": 4.0}}, "readout.m_max"),
     "zero_two_spin_amplitude_fig4a": ("fig4a", {"decoherence": {"alpha0_two_spin": 0}}, "decoherence.alpha0_two_spin"),
     "zero_two_spin_amplitude_fig4b": ("fig4b", {"decoherence": {"alpha0_two_spin": 0}}, "decoherence.alpha0_two_spin"),
-    "zero_two_spin_rate": ("fig4a", {"decoherence": {"gamma2_two_spin_hz": 0}}, "decoherence.gamma2_two_spin_hz"),
     "nv_amplitude_underflow_fig4a": ("fig4a", {"decoherence": {"gamma2_nv_hz": 1e9}}, "decoherence.gamma2_nv_hz"),
     "nv_amplitude_underflow_fig4b": ("fig4b", {"decoherence": {"gamma2_nv_hz": 1e9}}, "decoherence.gamma2_nv_hz"),
-    "fast_nv_decay_never_crosses_unity": ("fig4a", {"decoherence": {"gamma2_nv_hz": 1e6}}, "decoherence.gamma2_nv_hz"),
 }
 
 
@@ -200,6 +206,27 @@ def test_infeasible_config_exits_3(case, tmp_path, capsys):
     assert path in err
     assert "Traceback" not in err
     assert not (tmp_path / f"{scenario}.csv").exists()
+
+
+# configs whose fig4a gain never falls below 1 on the tau grid: the curves
+# are written and the absent crossing reads null, as in fig4c
+NO_CROSSING_CONFIGS = {
+    "fast_nv_decay_never_crosses_unity": {"decoherence": {"gamma2_nv_hz": 1e6}},
+    "zero_two_spin_rate": {"decoherence": {"gamma2_two_spin_hz": 0}},
+    "two_spin_rate_near_nv_rate": {
+        "decoherence": {"gamma2_nv_hz": 26.3e3, "gamma2_two_spin_hz": 27.9e3, "p": 1.28}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_CROSSING_CONFIGS))
+def test_absent_unity_crossing_writes_null(case, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(NO_CROSSING_CONFIGS[case]))
+    rc = _run(["run", "--scenario", "fig4a", "--config", str(cfg), "--out", str(tmp_path), "--quiet"])
+    assert rc == 0 and capsys.readouterr().err == ""
+    summary = json.loads((tmp_path / "fig4a.json").read_text())["summary"]
+    assert summary["unity_crossing_tau_s"] is None
+    assert (tmp_path / "fig4a.csv").exists()
 
 
 # configs whose fig2c fits cannot converge: the one curve they break (flat,

@@ -4,7 +4,6 @@ import pytest
 from entangle_sense.dynamics import (
     DecoherenceEnvelope,
     DriveTerm,
-    DrivenDecayModel,
     HamiltonianSpec,
     OUNoiseModel,
     driven_decay,
@@ -16,6 +15,7 @@ from entangle_sense.dynamics import (
     propagate,
 )
 from entangle_sense.spinsys import (
+    GAMMA_E,
     DensityState,
     LayoutError,
     build_operator,
@@ -198,23 +198,24 @@ def test_decay_exponential_composes_stretched_does_not():
 def test_driven_decay_limits():
     psi = np.array([0.0, 1.0, 0.0, 0.0])
     rho = pure_state(TWO, psi)
-    model = DrivenDecayModel(132e-6)
     # long-time limit: exchange block fully mixed
-    out = driven_decay(rho, model, 1.0, block="zq")
+    out = driven_decay(rho, 132e-6, 1.0, block="zq")
     assert out.matrix[1, 1].real == pytest.approx(0.5, abs=1e-6)
     assert out.matrix[2, 2].real == pytest.approx(0.5, abs=1e-6)
-    # contrast factors
-    assert model.contrast(132e-6) == pytest.approx(np.exp(-1.0), rel=1e-12)
-    assert model.contrast(8.6e-6) == pytest.approx(0.937, abs=5e-4)
+    # contrast factors: the |01> population keeps (1 + f) / 2
+    for t, contrast in ((132e-6, np.exp(-1.0)), (8.6e-6, 0.937)):
+        kept = 2 * driven_decay(rho, 132e-6, t).matrix[1, 1].real - 1
+        assert kept == pytest.approx(contrast, abs=5e-4 if t == 8.6e-6 else 1e-12)
+    with pytest.raises(ValueError, match="t1rho must be positive"):
+        driven_decay(rho, 0.0, 1e-6)
 
 
 def test_driven_decay_needs_nv_xe_pair():
-    model = DrivenDecayModel(132e-6)
     swapped = pure_state(layout("Xe", "NV"), np.array([0.0, 1.0, 0.0, 0.0]))
     single = polarized_state(layout("NV"), {"NV": 1.0})
     for rho in (swapped, single):
         with pytest.raises(LayoutError):
-            driven_decay(rho, model, 1e-6)
+            driven_decay(rho, 132e-6, 1e-6)
 
 
 def test_monte_carlo_zero_noise_equals_propagate():
@@ -238,8 +239,6 @@ def test_monte_carlo_deterministic_per_seed():
 def test_ou_phase_variance_against_trajectories():
     # free-evolution coherence decay matches exp(-variance/2) of the OU
     # phase integral within trajectory statistics
-    from entangle_sense.spinsys import CONSTANTS
-
     noise = OUNoiseModel(sigma_b_gauss=0.015, tau_c_s=8e-6, trajectories=4000)
     t = 12e-6
     n_traj, n_steps = noise.trajectories, 240
@@ -248,7 +247,7 @@ def test_ou_phase_variance_against_trajectories():
     phases = np.empty(n_traj)
     for j in range(n_traj):
         x = ou_trajectory(noise, n_steps, dt, rng)
-        phases[j] = CONSTANTS.gamma_e * np.sum(x) * dt
+        phases[j] = GAMMA_E * np.sum(x) * dt
     mc = np.mean(np.exp(1j * phases)).real
     var = ou_phase_variance(noise, t)
     analytic = np.exp(-var / 2.0)
@@ -260,8 +259,6 @@ def test_monte_carlo_convergence_in_trajectories():
     rho = pure_state(layout("NV"), np.array([1.0, 1.0]) / np.sqrt(2))
     ham = HamiltonianSpec(layout=layout("NV"), drives={}, coupling_hz=0.0)
     t = 10e-6
-    from entangle_sense.spinsys import CONSTANTS
-
     var = ou_phase_variance(OUNoiseModel(0.02, 5e-6, 1), t)
     target = 0.5 * np.exp(-var / 2.0)
     devs = []
@@ -294,7 +291,7 @@ def _driven_pair():
         layout=TWO,
         drives={
             "NV": DriveTerm(rabi=2 * np.pi * 3e5, phase=0.3),
-            "Xe": DriveTerm(rabi=2 * np.pi * 2e5, detuning=1e4),
+            "Xe": DriveTerm(rabi=2 * np.pi * 2e5, phase=-1.2),
         },
         coupling_hz=40e3,
     )
@@ -329,8 +326,6 @@ def test_expm_hermitian_stack_matches_single_calls():
 
 
 def test_monte_carlo_matches_per_trajectory_reference():
-    from entangle_sense.spinsys import CONSTANTS
-
     rho = _random_state(11)
     ham = _driven_pair()
     noise = OUNoiseModel(sigma_b_gauss=0.01, tau_c_s=4e-6, trajectories=16)
@@ -349,7 +344,7 @@ def test_monte_carlo_matches_per_trajectory_reference():
         path = _reference_ou_path(noise, n_steps, dt, rng)
         mat = rho.matrix
         for k in range(n_steps):
-            u = _reference_expm(h0 + CONSTANTS.gamma_e * path[k] * sz_sum, dt)
+            u = _reference_expm(h0 + GAMMA_E * path[k] * sz_sum, dt)
             mat = u @ mat @ u.conj().T
         acc = acc + mat
     assert np.array_equal(out.matrix, acc / noise.trajectories)
@@ -373,7 +368,7 @@ def test_monte_carlo_zero_time_returns_state_unchanged():
 def test_hamiltonian_hermitian():
     ham = HamiltonianSpec(
         layout=TWO,
-        drives={"NV": DriveTerm(rabi=1e6, phase=1.1, detuning=3e4)},
+        drives={"NV": DriveTerm(rabi=1e6, phase=1.1), "Xe": DriveTerm(rabi=3e4)},
         coupling_hz=58e3,
     )
     h = ham.assemble()

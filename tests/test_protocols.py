@@ -17,7 +17,7 @@ from entangle_sense.protocols import (
     verify_phase_recipes,
     x_polarization,
 )
-from entangle_sense.spinsys import CONSTANTS, bell_coherence, build_operator, layout, polarized_state, pure_state
+from entangle_sense.spinsys import GAMMA_E, bell_coherence, build_operator, layout, polarized_state, pure_state
 
 IDEAL = GateParams(d_hz=58e3)
 
@@ -153,7 +153,8 @@ def test_f_hat_echo_is_the_phase_matched_echo_overlap():
     overlap = abs((prim(tau / 2) - prim(0.0)) - (prim(tau) - prim(tau / 2))) / tau
     assert F_HAT_ECHO == 2 / np.pi
     assert overlap == pytest.approx(F_HAT_ECHO, rel=1e-12)
-    assert precession_rate(1, tau) == pytest.approx(CONSTANTS.gamma_e * overlap * tau, rel=1e-12)
+    assert precession_rate(1, tau) == pytest.approx(GAMMA_E * overlap * tau, rel=1e-12)
+    assert precession_rate(2, tau) == pytest.approx(2 * precession_rate(1, tau), rel=1e-12)
 
 
 def test_bell_block_accumulates_double_phase():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entangle_sense.spinsys import InfeasibleError
 from entangle_sense.readout import (
     calibrate_ladder,
     geometric_ratio_for_gain,
@@ -15,15 +16,14 @@ def test_optimal_beats_unweighted_on_random_ladders():
     rng = np.random.default_rng(17)
     for _ in range(50):
         a = rng.uniform(0.05, 1.0, size=8)
-        s = rng.uniform(0.1, 1.0, size=8)
         # variance of the optimally combined estimate of the signal x where
-        # reading k has mean a_k x and noise s_k: 1 / sum (a/s)^2, which is
-        # the single-readout variance (s_0/a_0)^2 divided by snr_gain^2
-        var_opt = (s[0] / a[0]) ** 2 / snr_gain(a, s)[-1] ** 2
-        assert var_opt == pytest.approx(1.0 / np.sum((a / s) ** 2), rel=1e-12)
+        # reading k has mean a_k x and unit noise: 1 / sum a^2, which is
+        # the single-readout variance 1 / a_0^2 divided by snr_gain^2
+        var_opt = a[0] ** -2 / snr_gain(a)[-1] ** 2
+        assert var_opt == pytest.approx(1.0 / np.sum(a**2), rel=1e-12)
         # unweighted average estimator: sum y_k / sum a_k
-        var_avg = np.sum(s**2) / np.sum(a) ** 2
-        var_single = np.min((s / a) ** 2)
+        var_avg = len(a) / np.sum(a) ** 2
+        var_single = np.min(a**-2.0)
         assert var_opt <= var_avg + 1e-15
         assert var_opt <= var_single + 1e-15
 
@@ -68,6 +68,10 @@ def test_geometric_ratio_for_gain():
     assert snr_gain(a)[-1] == pytest.approx(1.91, abs=1e-10)
     # geometric ladder matched to the SNR misses the 4.2 amplitude sum
     assert not np.isclose(np.sum(a), 4.2, atol=0.3)
+    # a geometric ladder's gain at readout m lies in (1, sqrt(m + 1))
+    for target, m in ((1.0, 9), (np.sqrt(10.0), 9), (1.5, 0)):
+        with pytest.raises(InfeasibleError, match=f"SNR gain {target} at m = {m} is outside"):
+            geometric_ratio_for_gain(target, m)
 
 
 def test_geometric_ladder_fit_to_sum_gives_low_snr():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entangle_sense.spinsys import (
-    CONSTANTS,
+    GAMMA_E,
     DensityState,
     LayoutError,
     StateError,
@@ -28,7 +28,7 @@ def test_layout_labels_and_dim():
 
 
 def test_gamma_e_positive():
-    assert CONSTANTS.gamma_e == pytest.approx(2 * np.pi * 2.8e6)
+    assert GAMMA_E == pytest.approx(2 * np.pi * 2.8e6)
 
 
 def test_build_operator_single_sz():
