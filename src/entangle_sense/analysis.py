@@ -546,13 +546,18 @@ def required_amplitude_ratio_scale(
 
 
 def write_curve_csv(path: str, columns: Mapping[str, Sequence[float]]) -> None:
-    """CSV with `name[unit]` headers, '.' decimals, LF endings, %.12g floats."""
+    """CSV with `name[unit]` headers, '.' decimals, LF endings, %.12g floats.
+
+    `csv.writer` writes the header, so names are quoted as it quotes
+    them; the body is one "%.12g,...\n" row format, repeated once per row
+    and applied to all values in one operation.
+    """
     names = list(columns)
     arrays = [np.asarray(columns[name], dtype=float) for name in names]
     if len({len(a) for a in arrays}) != 1:
         raise ValueError("all CSV columns must have equal length")
+    row_format = ",".join(["%.12g"] * len(arrays)) + "\n"
+    body = (row_format * len(arrays[0])) % tuple(np.column_stack(arrays).ravel().tolist())
     with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        for row in zip(*arrays):
-            writer.writerow([f"{v:.12g}" for v in row])
+        csv.writer(fh, lineterminator="\n").writerow(names)
+        fh.write(body)

@@ -5,7 +5,8 @@
 (summary), and `<out>/<scenario>.meta.json` (run record).  Identical
 (config, seed) pairs produce byte-identical CSV/JSON.
 
-Exit codes: 0 success; 2 config parse/validation failure; 3 one or more
+Exit codes: 0 success; 2 config parse/validation failure, or an output
+path that cannot be created or written (one stderr line); 3 one or more
 fits failed to converge (the outputs are still written), or a valid
 config admits no solution, such as an unreachable calibration target or
 a decay amplitude that underflows to 0 (nothing is written; one stderr
@@ -64,6 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args: argparse.Namespace) -> int:
+    started = time.perf_counter()
     config_text = None
     if args.config is not None:
         try:
@@ -87,37 +89,45 @@ def _run(args: argparse.Namespace) -> int:
     if out_dir is None:
         env = os.environ.get("ENTANGLE_SENSE_OUT")
         out_dir = Path(env) if env else Path.cwd()
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     rng = np.random.default_rng(int(cfg["run.seed"]))
-    started = time.time()
+    resolved = time.perf_counter()
     try:
         columns, summary = SCENARIO_RUNNERS[scenario](cfg, rng)
     except InfeasibleError as exc:
         keys = ", ".join(exc.config_keys) or "config"
         print(f"error: {scenario}: {keys}: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    elapsed = time.time() - started
+    ran = time.perf_counter()
 
     csv_path = out_dir / f"{scenario}.csv"
     json_path = out_dir / f"{scenario}.json"
     meta_path = out_dir / f"{scenario}.meta.json"
-
-    write_curve_csv(str(csv_path), columns)
     payload = {"scenario": scenario, "summary": summary, "config": cfg.data}
-    json_path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    meta = {
-        "config_hash_sha256": cfg.content_hash(),
-        "outputs": [csv_path.name, json_path.name, meta_path.name],
-        "wall_clock_s": elapsed,
-        "version": __version__,
-    }
-    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_curve_csv(str(csv_path), columns)
+        json_path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        stage_s = {
+            "resolve": resolved - started,
+            "run": ran - resolved,
+            "write": time.perf_counter() - ran,
+        }
+        meta = {
+            "config_hash_sha256": cfg.content_hash(),
+            "outputs": [csv_path.name, json_path.name, meta_path.name],
+            "stage_s": stage_s,
+            "version": __version__,
+        }
+        meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    except OSError as exc:
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     converged = bool(summary.get("converged", True))
     if not args.quiet:
         status = "ok" if converged else "non-convergent fit(s)"
-        print(f"{scenario}: wrote {csv_path}, {json_path} ({status}, {elapsed:.2f} s)")
+        print(f"{scenario}: wrote {csv_path}, {json_path} ({status}, {stage_s['run']:.2f} s)")
     return EXIT_OK if converged else EXIT_NO_CONVERGENCE
 
 

@@ -185,33 +185,32 @@ def optical_pump(state: DensityState, efficiency: float) -> DensityState:
     return DensityState(layout=lay, matrix=out)
 
 
-def driven_decay(state: DensityState, t1rho_s: float, t: float, block: str = "zq") -> DensityState:
+def driven_decay(mat: np.ndarray, t1rho_s: float, t: float, block: str) -> np.ndarray:
     """Damp exchange-oscillation contrast within one exchange subspace.
 
     Mixture of the identity (weight exp(-t/T1rho)) with a channel that
     dephases the block against its complement and replaces the block
-    content by its equal-population fixed point.
+    content by its equal-population fixed point.  mat is one (4, 4)
+    matrix of the (NV, Xe) pair or a (..., 4, 4) stack; like `_evolve`,
+    this acts on matrices, and the caller validates the state it builds.
     """
     if t1rho_s <= 0:
         raise ValueError("t1rho must be positive")
     if t < 0:
         raise ValueError("duration must be >= 0")
-    if state.layout.subsystems != ("NV", "Xe"):
-        raise LayoutError("exchange blocks are defined on the (NV, Xe) pair")
     if block not in EXCHANGE_BLOCKS:
         raise ValueError(f"unknown exchange block {block!r}")
     f = float(np.exp(-t / t1rho_s))
     i, j = EXCHANGE_BLOCKS[block]
-    dim = state.layout.dim
+    dim = mat.shape[-1]
     p = np.zeros((dim, dim))
     p[i, i] = p[j, j] = 1.0
     q = np.eye(dim) - p
-    mat = state.matrix
     block_trace = mat[..., i, i] + mat[..., j, j]
     fixed = np.zeros_like(mat)
     fixed[..., i, i] = fixed[..., j, j] = block_trace / 2.0
     collapsed = fixed + q @ mat @ q
-    return DensityState(layout=state.layout, matrix=f * mat + (1.0 - f) * collapsed)
+    return f * mat + (1.0 - f) * collapsed
 
 
 def ou_trajectory(noise: OUNoiseModel, n_steps: int, dt: float, rng: np.random.Generator) -> np.ndarray:

@@ -121,14 +121,6 @@ def exchange_unitary(theta: float, phase: float | np.ndarray, block: str) -> np.
     return u
 
 
-def _depolarize(state: DensityState, epsilon: float) -> DensityState:
-    if epsilon == 0.0:
-        return state
-    dim = state.layout.dim
-    mixed = np.eye(dim, dtype=complex) / dim
-    return DensityState(state.layout, (1.0 - epsilon) * state.matrix + epsilon * mixed)
-
-
 def apply_exchange_gate(
     state: DensityState,
     params: GateParams,
@@ -139,15 +131,20 @@ def apply_exchange_gate(
     """Exchange rotation + driven-decay damping + depolarizing error.
 
     An array of phases gives a stack of output states, one per phase.
+    The three steps act on matrices; the output is validated once, as one
+    DensityState (one stack for an array of phases).
     """
     if state.layout != TWO_SPIN_LAYOUT:
         raise LayoutError("exchange gates act on the (NV, Xe) pair")
     theta = 2.0 * np.pi * params.d_hz * duration
     u = exchange_unitary(theta, phase, block)
-    out = DensityState(state.layout, u @ state.matrix @ np.swapaxes(u.conj(), -1, -2))
+    mat = u @ state.matrix @ np.swapaxes(u.conj(), -1, -2)
     if params.t1rho_s is not None:
-        out = driven_decay(out, params.t1rho_s, duration, block=block)
-    return _depolarize(out, params.epsilon)
+        mat = driven_decay(mat, params.t1rho_s, duration, block)
+    if params.epsilon != 0.0:
+        mixed = np.eye(TWO_SPIN_LAYOUT.dim, dtype=complex) / TWO_SPIN_LAYOUT.dim
+        mat = (1.0 - params.epsilon) * mat + params.epsilon * mixed
+    return DensityState(TWO_SPIN_LAYOUT, mat)
 
 
 @lru_cache(maxsize=8)

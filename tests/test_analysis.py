@@ -1,3 +1,4 @@
+import csv
 import tracemalloc
 
 import numpy as np
@@ -483,11 +484,41 @@ def test_required_amplitude_scale_reported():
 # exports
 
 
+def _reference_csv(path, columns):
+    # the per-cell writer that write_curve_csv replaced: its bytes are the format
+    names = list(columns)
+    arrays = [np.asarray(columns[name], dtype=float) for name in names]
+    with open(path, "w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(names)
+        for row in zip(*arrays):
+            writer.writerow([f"{v:.12g}" for v in row])
+
+
 def test_write_curve_csv(tmp_path):
     path = tmp_path / "c.csv"
     write_curve_csv(str(path), {"x[s]": [1.0, 2.0], "y[1]": [0.5, 0.25]})
-    text = path.read_text()
-    assert text.splitlines()[0] == "x[s],y[1]"
-    assert len(text.splitlines()) == 3
+    assert path.read_text() == "x[s],y[1]\n1,0.5\n2,0.25\n"
     with pytest.raises(ValueError):
         write_curve_csv(str(path), {"x[s]": [1.0], "y[1]": [1.0, 2.0]})
+    # byte-identical to the per-cell writer on random tables with special values
+    rng = np.random.default_rng(0)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300, 1e-320])
+    ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+    for case in range(60):
+        n_rows = 0 if case == 0 else int(rng.integers(1, 200))
+        columns = {}
+        for k in range(int(rng.integers(1, 7))):
+            values = rng.choice([-1.0, 1.0], n_rows) * 10.0 ** rng.uniform(-320, 300, n_rows)
+            pick = rng.random(n_rows) < 0.3
+            values[pick] = rng.choice(special, int(pick.sum()))
+            columns[f"c{k}[1]"] = values.tolist() if k % 2 else values
+        write_curve_csv(str(ours), columns)
+        _reference_csv(str(reference), columns)
+        assert ours.read_bytes() == reference.read_bytes(), case
+    # names are quoted exactly as csv.writer quotes them
+    columns = {'a,b[s]': special, 'say "hi"[1]': special[::-1], "plain": special}
+    write_curve_csv(str(ours), columns)
+    _reference_csv(str(reference), columns)
+    assert ours.read_bytes() == reference.read_bytes()
+    assert ours.read_text().splitlines()[0] == '"a,b[s]","say ""hi""[1]",plain'

@@ -65,6 +65,13 @@ def test_meta_reports_package_version(tmp_path):
     assert meta["version"] == entangle_sense.__version__
 
 
+def test_meta_reports_stage_timings(tmp_path):
+    _run(["run", "--scenario", "fig2d", "--out", str(tmp_path), "--quiet"])
+    meta = json.loads((tmp_path / "fig2d.meta.json").read_text())
+    assert set(meta["stage_s"]) == {"resolve", "run", "write"}
+    assert all(isinstance(s, float) and s >= 0.0 for s in meta["stage_s"].values())
+
+
 def test_env_var_default_out(tmp_path, monkeypatch):
     monkeypatch.setenv("ENTANGLE_SENSE_OUT", str(tmp_path / "envout"))
     rc = _run(["run", "--scenario", "fig2a", "--quiet"])
@@ -87,6 +94,20 @@ def test_bad_config_json_exits_2(tmp_path):
     cfg.write_text("{not json")
     rc = _run(["run", "--scenario", "fig2a", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("target", ["file_as_out_dir", "directory_as_csv"])
+def test_unwritable_out_exits_2(target, tmp_path, capsys):
+    out = tmp_path
+    if target == "file_as_out_dir":
+        out = tmp_path / "README.md"
+        out.write_text("not a directory")
+    else:
+        (tmp_path / "fig2a.csv").mkdir()
+    rc = _run(["run", "--scenario", "fig2a", "--out", str(out), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write outputs: ")
 
 
 def test_validate_default_config_clean(tmp_path, capsys):

@@ -197,25 +197,27 @@ def test_decay_exponential_composes_stretched_does_not():
 
 def test_driven_decay_limits():
     psi = np.array([0.0, 1.0, 0.0, 0.0])
-    rho = pure_state(TWO, psi)
+    rho = pure_state(TWO, psi).matrix
     # long-time limit: exchange block fully mixed
-    out = driven_decay(rho, 132e-6, 1.0, block="zq")
-    assert out.matrix[1, 1].real == pytest.approx(0.5, abs=1e-6)
-    assert out.matrix[2, 2].real == pytest.approx(0.5, abs=1e-6)
+    out = driven_decay(rho, 132e-6, 1.0, "zq")
+    assert isinstance(out, np.ndarray) and out.shape == (4, 4)
+    assert out[1, 1].real == pytest.approx(0.5, abs=1e-6)
+    assert out[2, 2].real == pytest.approx(0.5, abs=1e-6)
     # contrast factors: the |01> population keeps (1 + f) / 2
     for t, contrast in ((132e-6, np.exp(-1.0)), (8.6e-6, 0.937)):
-        kept = 2 * driven_decay(rho, 132e-6, t).matrix[1, 1].real - 1
+        kept = 2 * driven_decay(rho, 132e-6, t, "zq")[1, 1].real - 1
         assert kept == pytest.approx(contrast, abs=5e-4 if t == 8.6e-6 else 1e-12)
+    # a stack gives the matrices that separate calls give
+    stack = np.stack([rho, _random_state(3).matrix])
+    batched = driven_decay(stack, 132e-6, 8.6e-6, "dq")
+    for k in range(2):
+        assert np.array_equal(batched[k], driven_decay(stack[k], 132e-6, 8.6e-6, "dq"))
     with pytest.raises(ValueError, match="t1rho must be positive"):
-        driven_decay(rho, 0.0, 1e-6)
-
-
-def test_driven_decay_needs_nv_xe_pair():
-    swapped = pure_state(layout("Xe", "NV"), np.array([0.0, 1.0, 0.0, 0.0]))
-    single = polarized_state(layout("NV"), {"NV": 1.0})
-    for rho in (swapped, single):
-        with pytest.raises(LayoutError):
-            driven_decay(rho, 132e-6, 1e-6)
+        driven_decay(rho, 0.0, 1e-6, "zq")
+    with pytest.raises(ValueError, match="duration must be >= 0"):
+        driven_decay(rho, 132e-6, -1e-6, "zq")
+    with pytest.raises(ValueError, match="unknown exchange block"):
+        driven_decay(rho, 132e-6, 1e-6, "sideways")
 
 
 def test_monte_carlo_zero_noise_equals_propagate():

@@ -17,9 +17,20 @@ from entangle_sense.protocols import (
     verify_phase_recipes,
     x_polarization,
 )
-from entangle_sense.spinsys import GAMMA_E, bell_coherence, build_operator, layout, polarized_state, pure_state
+from entangle_sense import protocols, spinsys
+from entangle_sense.spinsys import (
+    GAMMA_E,
+    LayoutError,
+    StateError,
+    bell_coherence,
+    build_operator,
+    layout,
+    polarized_state,
+    pure_state,
+)
 
 IDEAL = GateParams(d_hz=58e3)
+NOISY = GateParams(d_hz=58e3, epsilon=0.03, t1rho_s=132e-6)
 
 
 def _ket(i):
@@ -64,6 +75,42 @@ def test_hhcp_rejects_bad_recipe():
     rho = pure_state(TWO_SPIN_LAYOUT, _ket(0))
     with pytest.raises(ValueError):
         apply_exchange_gate(rho, IDEAL, IDEAL.swap_time, block="sideways")
+
+
+def test_exchange_gate_needs_nv_xe_pair():
+    swapped = pure_state(layout("Xe", "NV"), _ket(1))
+    single = polarized_state(layout("NV"), {"NV": 1.0})
+    for rho in (swapped, single):
+        with pytest.raises(LayoutError):
+            apply_exchange_gate(rho, NOISY, NOISY.swap_time, block="zq")
+
+
+def test_exchange_gate_validates_its_output_once(monkeypatch):
+    rho = pure_state(TWO_SPIN_LAYOUT, _ket(1))
+    rho_phi = prepare_entangled(pure_state(TWO_SPIN_LAYOUT, _ket(0)), NOISY)
+    shapes = []
+    validate = spinsys.validate_density_matrix
+
+    def counting(mat):
+        shapes.append(mat.shape)
+        validate(mat)
+
+    monkeypatch.setattr(spinsys, "validate_density_matrix", counting)
+    apply_exchange_gate(rho, NOISY, NOISY.swap_time, block="zq")
+    assert shapes == [(4, 4)]
+    shapes.clear()
+    modulated_disentangle_scan(rho_phi, 500e3, 250e3, np.linspace(0.0, 40e-6, 801), NOISY)
+    assert shapes == [(801, 4, 4)]
+
+
+@pytest.mark.parametrize("params", [IDEAL, NOISY])
+def test_exchange_gate_rejects_an_invalid_output(monkeypatch, params):
+    # a non-unitary "rotation" scales the trace to 4: the gate must not
+    # hand that state on
+    monkeypatch.setattr(protocols, "exchange_unitary", lambda theta, phase, block: 2.0 * np.eye(4))
+    rho = pure_state(TWO_SPIN_LAYOUT, _ket(1))
+    with pytest.raises(StateError, match="trace"):
+        apply_exchange_gate(rho, params, params.swap_time, block="zq")
 
 
 # ---------------------------------------------------------------------------
