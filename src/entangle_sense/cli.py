@@ -18,8 +18,10 @@ written as null.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -37,6 +39,7 @@ EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entangle-sense",
@@ -118,6 +121,7 @@ def _run(args: argparse.Namespace) -> int:
             "outputs": [csv_path.name, json_path.name, meta_path.name],
             "stage_s": stage_s,
             "version": __version__,
+            "versions": _library_versions(),
         }
         meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     except OSError as exc:
@@ -129,6 +133,14 @@ def _run(args: argparse.Namespace) -> int:
         status = "ok" if converged else "non-convergent fit(s)"
         print(f"{scenario}: wrote {csv_path}, {json_path} ({status}, {stage_s['run']:.2f} s)")
     return EXIT_OK if converged else EXIT_NO_CONVERGENCE
+
+
+def _library_versions() -> dict[str, str]:
+    """Python and numpy versions, and scipy's once a scenario has imported it."""
+    versions = {"python": platform.python_version(), "numpy": np.__version__}
+    if "scipy" in sys.modules:
+        versions["scipy"] = sys.modules["scipy"].__version__
+    return versions
 
 
 def _validate(args: argparse.Namespace) -> int:

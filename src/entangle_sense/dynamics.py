@@ -20,7 +20,14 @@ from typing import Mapping
 
 import numpy as np
 
-from .spinsys import GAMMA_E, DensityState, LayoutError, SpinLayout, build_operator
+from .spinsys import (
+    GAMMA_E,
+    DensityState,
+    LayoutError,
+    SpinLayout,
+    build_operator,
+    single_spin_operator,
+)
 
 HAMILTONIAN_HERMITICITY_TOL = 1e-12
 
@@ -57,18 +64,13 @@ class HamiltonianSpec:
         if self.coupling_hz != 0.0 and not ("NV" in self.layout and "Xe" in self.layout):
             raise LayoutError("ZZ coupling requires both NV and Xe in the layout")
 
-    def _single(self, label: str, symbol: str) -> np.ndarray:
-        spec = {lbl: "I" for lbl in self.layout.subsystems}
-        spec[label] = symbol
-        return build_operator(self.layout, spec).matrix
-
     def assemble(self) -> np.ndarray:
         """Hamiltonian matrix (rad/s)."""
         h = np.zeros((self.layout.dim, self.layout.dim), dtype=complex)
         for label, drv in self.drives.items():
             h += drv.rabi * (
-                np.cos(drv.phase) * self._single(label, "Sx")
-                + np.sin(drv.phase) * self._single(label, "Sy")
+                np.cos(drv.phase) * single_spin_operator(self.layout, label, "Sx").matrix
+                + np.sin(drv.phase) * single_spin_operator(self.layout, label, "Sy").matrix
             )
         if self.coupling_hz != 0.0:
             spec = {lbl: "I" for lbl in self.layout.subsystems}
@@ -257,9 +259,9 @@ def monte_carlo_propagate(
     n_steps = max(10, int(np.ceil(t / (noise.tau_c_s / 10.0))))
     dt = t / n_steps
     h0 = ham.assemble()
-    sz_sum = ham._single("NV", "Sz") if "NV" in ham.layout else 0.0
+    sz_sum = single_spin_operator(ham.layout, "NV", "Sz").matrix if "NV" in ham.layout else 0.0
     if "Xe" in ham.layout:
-        sz_sum = sz_sum + ham._single("Xe", "Sz")
+        sz_sum = sz_sum + single_spin_operator(ham.layout, "Xe", "Sz").matrix
     paths = np.stack([
         ou_trajectory(noise, n_steps, dt, np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(traj,))))

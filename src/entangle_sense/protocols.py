@@ -28,9 +28,10 @@ from .spinsys import (
     DensityState,
     InfeasibleError,
     LayoutError,
-    build_operator,
+    brentq,
     layout,
     polarized_state,
+    single_spin_operator,
 )
 from .dynamics import (
     EXCHANGE_BLOCKS,
@@ -186,15 +187,11 @@ def verify_phase_recipes(d_hz: float) -> dict[str, float]:
 
 
 def x_polarization(state: DensityState) -> float:
-    spec = {lbl: "I" for lbl in state.layout.subsystems}
-    spec["Xe"] = "Sz"
-    return float(2.0 * state.expectation(build_operator(state.layout, spec)))
+    return float(2.0 * state.expectation(single_spin_operator(state.layout, "Xe", "Sz")))
 
 
 def nv_polarization(state: DensityState) -> float:
-    spec = {lbl: "I" for lbl in state.layout.subsystems}
-    spec["NV"] = "Sz"
-    return float(2.0 * state.expectation(build_operator(state.layout, spec)))
+    return float(2.0 * state.expectation(single_spin_operator(state.layout, "NV", "Sz")))
 
 
 def polarization_transfer(
@@ -246,7 +243,7 @@ def modulated_disentangle_scan(
     """
     if f_nv_hz < 0 or f_x_hz < 0:
         raise ValueError("modulation frequencies must be >= 0")
-    p0_nv = build_operator(TWO_SPIN_LAYOUT, {"NV": "P0", "Xe": "I"})
+    p0_nv = single_spin_operator(TWO_SPIN_LAYOUT, "NV", "P0")
     phase = 2.0 * np.pi * (f_nv_hz + f_x_hz) * np.asarray(t_grid, dtype=float)
     return disentangle(rho_phi, params, phase=phase).expectation(p0_nv)
 
@@ -276,8 +273,6 @@ def calibrate_gate_error(
     polarization.  Raises InfeasibleError when no epsilon in [0, 0.5]
     reaches the target.
     """
-    from scipy.optimize import brentq
-
     @lru_cache(maxsize=None)  # brentq re-evaluates the two bracket ends
     def residual(eps: float) -> float:
         params = GateParams(d_hz=d_hz, epsilon=eps, t1rho_s=t1rho_s)

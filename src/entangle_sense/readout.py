@@ -12,9 +12,8 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq, fsolve
 
-from .spinsys import InfeasibleError
+from .spinsys import InfeasibleError, brentq
 
 
 def snr_gain(amplitudes: Sequence[float]) -> np.ndarray:
@@ -48,6 +47,8 @@ def calibrate_ladder(
     last readout simultaneously (2-D root find with bracketing refinement).
     Raises InfeasibleError when no stretched ladder matches both.
     """
+    from scipy.optimize import fsolve
+
     if amplitude_sum <= 1.0 or amplitude_sum > m + 1:
         raise ValueError("amplitude sum must lie in (1, m + 1]")
 
@@ -88,4 +89,4 @@ def geometric_ratio_for_gain(target_gain: float, m: int) -> float:
             f"SNR gain {target_gain} at m = {m} is outside the range "
             f"[{low:.6g}, {high:.6g}] that geometric ladders reach"
         )
-    return float(brentq(excess, 1e-6, 1.0 - 1e-9, xtol=1e-12))
+    return brentq(excess, 1e-6, 1.0 - 1e-9, xtol=1e-12)

@@ -50,7 +50,7 @@ from .protocols import (
     verify_phase_recipes,
 )
 from .readout import calibrate_ladder, geometric_ratio_for_gain, snr_gain, stretched_ladder
-from .spinsys import InfeasibleError, bell_coherence, build_operator, polarized_state
+from .spinsys import InfeasibleError, bell_coherence, polarized_state, single_spin_operator
 
 # Reconstructed per-readout amplitude ladder for the repetitive-readout
 # gain figure (normalized to the direct readout; digitized working point).
@@ -114,8 +114,8 @@ def run_fig1f(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
     # the matched drives lock the spins along their drive axes, so the
     # exchanged polarization lives on Sx (the lab z populations just
     # precess at the Rabi frequency); start NV locked, X anti-locked
-    sx_x = build_operator(TWO_SPIN_LAYOUT, {"NV": "I", "Xe": "Sx"}).matrix
-    sx_nv = build_operator(TWO_SPIN_LAYOUT, {"NV": "Sx", "Xe": "I"}).matrix
+    sx_x = single_spin_operator(TWO_SPIN_LAYOUT, "Xe", "Sx").matrix
+    sx_nv = single_spin_operator(TWO_SPIN_LAYOUT, "NV", "Sx").matrix
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
     minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
     psi0 = np.kron(plus, minus)

@@ -4,12 +4,17 @@ Systems are tensor products of up to three spin-1/2 subsystems labeled
 ``NV`` (the optically addressed sensor qubit), ``Xe`` (the ancilla
 electronic spin), and ``Xn`` (the ancilla nuclear spin, rarely
 instantiated).  Single-spin operators follow the S = sigma/2 convention.
+The module also holds what every layer shares: the error types and the
+Brent root finder that the calibrations use.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
-from typing import Mapping
+from functools import lru_cache
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -53,6 +58,67 @@ class InfeasibleError(ValueError):
     """
 
     config_keys: tuple[str, ...] = ()
+
+
+def brentq(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
+    """Root of f in [a, b] by Brent's method, step for step as SciPy's brentq.
+
+    A line-by-line port of SciPy's C loop (``Zeros/brentq.c``) with its
+    relative tolerance 4·eps and 100 iterations, so roots are bit-identical
+    to SciPy's.  Raises ValueError when f(a) and f(b) have the same sign or
+    f returns NaN, and RuntimeError when 100 iterations do not converge.
+    """
+    rtol = 4.0 * sys.float_info.epsilon
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError("Failed to converge after 100 iterations.")
 
 
 @dataclass(frozen=True)
@@ -183,6 +249,18 @@ def build_operator(lay: SpinLayout, spec: Mapping[str, str]) -> Operator:
             hermitian = False
         mat = np.kron(mat, SINGLE_SPIN_SYMBOLS[symbol])
     return Operator(layout=lay, matrix=mat, hermitian=hermitian)
+
+
+@lru_cache(maxsize=None)
+def single_spin_operator(lay: SpinLayout, label: str, symbol: str) -> Operator:
+    """``symbol`` on subsystem ``label``, identity on the others; built once per triple.
+
+    Every call with the same arguments returns the same Operator, whose
+    matrix is read-only, so a write through an alias raises.
+    """
+    spec = {lbl: "I" for lbl in lay.subsystems}
+    spec[label] = symbol
+    return build_operator(lay, spec)
 
 
 def single_spin_populations(p: float) -> np.ndarray:

@@ -2,8 +2,14 @@ import contextlib
 import hashlib
 import io
 import json
+import platform
+import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
+
+import numpy as np
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +18,8 @@ from hypothesis import strategies as st
 import entangle_sense
 from entangle_sense.cli import main
 from entangle_sense.config import SCENARIOS, ConfigError, DEFAULTS, resolve, validate
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _run(argv):
@@ -70,6 +78,39 @@ def test_meta_reports_stage_timings(tmp_path):
     meta = json.loads((tmp_path / "fig2d.meta.json").read_text())
     assert set(meta["stage_s"]) == {"resolve", "run", "write"}
     assert all(isinstance(s, float) and s >= 0.0 for s in meta["stage_s"].values())
+
+
+SCIPY_GUARD = """
+import sys
+from pathlib import Path
+
+src, out = sys.argv[1], Path(sys.argv[2])
+sys.path.insert(0, src)
+from entangle_sense import cli
+from entangle_sense.config import SCENARIOS
+
+config = out / "empty.json"
+config.write_text("{}")
+assert cli.main(["validate", str(config)]) == 0
+for fig in SCENARIOS:
+    if fig != "fig2d":
+        assert cli.main(["run", "--scenario", fig, "--seed", "0", "--out", str(out), "--quiet"]) == 0
+assert "scipy" not in sys.modules, "scipy imported before fig2d"
+assert cli.main(["run", "--scenario", "fig2d", "--seed", "0", "--out", str(out), "--quiet"]) == 0
+assert "scipy" in sys.modules, "fig2d ran without scipy"
+"""
+
+
+def test_only_fig2d_imports_scipy(tmp_path):
+    subprocess.run(
+        [sys.executable, "-c", SCIPY_GUARD, str(SRC), str(tmp_path)], check=True, cwd=tmp_path
+    )
+    for fig in SCENARIOS:
+        versions = json.loads((tmp_path / f"{fig}.meta.json").read_text())["versions"]
+        expected = {"python", "numpy", "scipy"} if fig == "fig2d" else {"python", "numpy"}
+        assert set(versions) == expected, fig
+        assert versions["python"] == platform.python_version()
+        assert versions["numpy"] == np.__version__
 
 
 def test_env_var_default_out(tmp_path, monkeypatch):

@@ -1,18 +1,25 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entangle_sense import protocols, readout
 from entangle_sense.spinsys import (
     GAMMA_E,
     DensityState,
+    InfeasibleError,
     LayoutError,
     StateError,
     bell_coherence,
+    brentq,
     build_operator,
     layout,
     polarized_state,
     pure_state,
+    single_spin_operator,
     validate_density_matrix,
 )
 
@@ -55,6 +62,108 @@ def test_commutator_algebra():
         sy = build_operator(lay, {**spec, label: "Sy"}).matrix
         sz = build_operator(lay, {**spec, label: "Sz"}).matrix
         assert np.max(np.abs(sx @ sy - sy @ sx - 1j * sz)) < 1e-12
+
+
+def test_single_spin_operator_is_built_once_and_read_only():
+    for lay in (layout("NV", "Xe"), layout("Xe", "NV", "Xn")):
+        for label in lay.subsystems:
+            for symbol in ("Sx", "Sy", "Sz", "P0", "S+"):
+                op = single_spin_operator(lay, label, symbol)
+                assert single_spin_operator(lay, label, symbol) is op
+                spec = {lbl: "I" for lbl in lay.subsystems}
+                fresh = build_operator(lay, {**spec, label: symbol})
+                assert np.array_equal(op.matrix, fresh.matrix) and op.hermitian == fresh.hermitian
+                assert not op.matrix.flags.writeable
+                with pytest.raises(ValueError):
+                    op.matrix[0, 0] = 7.0
+    assert np.array_equal(
+        single_spin_operator(layout("NV", "Xe"), "NV", "Sz").matrix, np.diag([0.5, 0.5, -0.5, -0.5])
+    )
+
+
+def _solve(solver, f, a, b, xtol):
+    """The root, or the type and message of the error, that ``solver`` gives."""
+    try:
+        return solver(f, a, b, xtol=xtol)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _random_bracketed_function(rng):
+    """A seeded function and bracket: smooth, flat, stepped or zero at an end.
+
+    One bracket in ten misses the root, so its ends have the same sign.
+    """
+    a, b = sorted(rng.uniform(-3.0, 3.0, size=2) * 10.0 ** rng.integers(-6, 1))
+    r = rng.uniform(a, b) if rng.random() < 0.9 else b + rng.uniform(0.01, 1.0) * (b - a)
+    k = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1.0, 1.0) / (b - a)
+    p, q = rng.normal(size=2)
+    kind = rng.integers(7)
+    if kind == 0:  # one real root: the quadratic factor has none
+        return (lambda x: (x - r) * ((x + p) ** 2 + q**2 + 0.01)), a, b
+    if kind == 1:
+        return (lambda x: math.expm1(k * (x - r))), a, b
+    if kind == 2:
+        return (lambda x: math.tanh(k * (x - r))), a, b
+    if kind == 3:  # one root in the bracket: half a period is wider than it
+        return (lambda x: math.sin(min(abs(k), 3.0 / (b - a)) * (x - r))), a, b
+    if kind == 4:
+        return (lambda x: 1.0 if x > r else -1.0), a, b
+    if kind == 5:
+        power = int(rng.choice([3, 5, 9]))
+        return (lambda x: k * (x - r) ** power), a, b
+    end, power = (a if rng.random() < 0.5 else b), int(rng.integers(1, 3))
+    return (lambda x: k * (x - end) ** power), a, b
+
+
+def test_brentq_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    outcomes = {"root": 0, "zero end": 0, ValueError: 0, RuntimeError: 0}
+    for _ in range(11500):
+        f, a, b = _random_bracketed_function(rng)
+        xtol = float(rng.choice([1e-12, 2e-12, 1e-6]))
+        ours = _solve(brentq, f, a, b, xtol)
+        assert ours == _solve(scipy.optimize.brentq, f, a, b, xtol), (a, b, xtol)
+        if isinstance(ours, tuple):
+            outcomes[ours[0]] += 1
+        else:
+            outcomes["zero end" if ours in (a, b) and f(ours) == 0.0 else "root"] += 1
+    assert outcomes["root"] + outcomes["zero end"] >= 10000, outcomes
+    assert min(outcomes.values()) > 100, outcomes
+    # the bisection half-width equals delta at the first step; a coarse xtol
+    # makes the 3|sbis| - delta bound reject an interpolated step
+    edges = [(lambda x: x - 0.45, 0.0, 1.0, 1.0), (lambda x: math.expm1(-3.0 * (x - 1.2)), 1.0, 1.7, 0.2)]
+    for f, a, b, xtol in edges:
+        assert _solve(brentq, f, a, b, xtol) == _solve(scipy.optimize.brentq, f, a, b, xtol)
+    # a step at 1e-200 needs ~700 bisections to reach an xtol of 5e-324
+    step = lambda x: 1.0 if x > 1e-200 else -1.0
+    nan_inside = lambda x: math.nan if 0.2 < x < 0.9 else x - 0.5
+    for f, xtol, error in ((step, 5e-324, RuntimeError), (step, 1e-300, RuntimeError), (nan_inside, 1e-12, ValueError)):
+        ours = _solve(brentq, f, -1.0, 1.0, xtol)
+        assert ours[0] is error and ours == _solve(scipy.optimize.brentq, f, -1.0, 1.0, xtol)
+
+
+def _calibrations(monkeypatch, solver):
+    """calibrate_gate_error and geometric_ratio_for_gain over their CLI ranges with ``solver``."""
+    monkeypatch.setattr(protocols, "brentq", solver)
+    monkeypatch.setattr(readout, "brentq", solver)
+    out = []
+    for pump in (0.6, 0.8, 0.95):
+        for target in np.linspace(0.05, 0.95, 73):
+            try:
+                out.append(protocols.calibrate_gate_error(target, pump, 58e3, 132e-6, 0.14).epsilon)
+            except InfeasibleError as exc:
+                out.append(str(exc))
+    for m in range(1, 40):
+        for target in np.linspace(1.0, math.sqrt(m + 1.0), 27)[1:-1]:
+            out.append(readout.geometric_ratio_for_gain(float(target), m))
+    return out
+
+
+def test_calibrations_match_scipy_brentq(monkeypatch):
+    ours = _calibrations(monkeypatch, brentq)
+    assert ours == _calibrations(monkeypatch, scipy.optimize.brentq)
+    assert sum(isinstance(v, float) for v in ours) > 1050
 
 
 def test_polarized_state_examples():
