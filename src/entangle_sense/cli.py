@@ -136,11 +136,8 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def _library_versions() -> dict[str, str]:
-    """Python and numpy versions, and scipy's once a scenario has imported it."""
-    versions = {"python": platform.python_version(), "numpy": np.__version__}
-    if "scipy" in sys.modules:
-        versions["scipy"] = sys.modules["scipy"].__version__
-    return versions
+    """Python and numpy versions, the only libraries the package imports."""
+    return {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def _validate(args: argparse.Namespace) -> int:

@@ -25,8 +25,8 @@ from .spinsys import (
     DensityState,
     LayoutError,
     SpinLayout,
-    build_operator,
     single_spin_operator,
+    zz_operator,
 )
 
 HAMILTONIAN_HERMITICITY_TOL = 1e-12
@@ -73,11 +73,7 @@ class HamiltonianSpec:
                 + np.sin(drv.phase) * single_spin_operator(self.layout, label, "Sy").matrix
             )
         if self.coupling_hz != 0.0:
-            spec = {lbl: "I" for lbl in self.layout.subsystems}
-            spec["NV"] = "Sz"
-            spec["Xe"] = "Sz"
-            zz = build_operator(self.layout, spec).matrix
-            h += 2.0 * np.pi * (2.0 * self.coupling_hz) * zz
+            h += 2.0 * np.pi * (2.0 * self.coupling_hz) * zz_operator(self.layout).matrix
         dev = np.max(np.abs(h - h.conj().T))
         if dev > HAMILTONIAN_HERMITICITY_TOL:
             raise ValueError(f"assembled Hamiltonian deviates from Hermitian by {dev:.3e}")

@@ -258,6 +258,7 @@ def dominant_frequency(t_grid: np.ndarray, signal: np.ndarray) -> float:
     return float(freqs[np.argmax(spectrum)])
 
 
+@lru_cache(maxsize=8)  # fig2a and fig2b calibrate on the same inputs; GateParams is frozen
 def calibrate_gate_error(
     p1_target: float,
     pump_efficiency: float,

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spinsys import InfeasibleError, brentq
+from .spinsys import InfeasibleError, brentq, hybrd
 
 
 def snr_gain(amplitudes: Sequence[float]) -> np.ndarray:
@@ -44,11 +44,9 @@ def calibrate_ladder(
     """Solve (k0, s) of a stretched ladder matching a measured working point.
 
     Matches sum_k a_k = amplitude_sum and the cumulative SNR gain at the
-    last readout simultaneously (2-D root find with bracketing refinement).
+    last readout simultaneously (2-D root find by `spinsys.hybrd`).
     Raises InfeasibleError when no stretched ladder matches both.
     """
-    from scipy.optimize import fsolve
-
     if amplitude_sum <= 1.0 or amplitude_sum > m + 1:
         raise ValueError("amplitude sum must lie in (1, m + 1]")
 
@@ -60,15 +58,14 @@ def calibrate_ladder(
         g = np.sqrt(np.sum(a**2))
         return np.array([np.sum(a) - amplitude_sum, g - snr_at_m])
 
-    sol, info, ier, _ = fsolve(equations, x0=np.array([m / 2.0, 2.0]), full_output=True)
-    residual = np.max(np.abs(info["fvec"]))
+    sol, fvec, ier = hybrd(equations, [m / 2.0, 2.0])
+    residual = np.max(np.abs(fvec))
     if ier != 1 or residual > 1e-9:
         raise InfeasibleError(
             f"no stretched ladder has amplitude sum {amplitude_sum} and SNR gain "
             f"{snr_at_m} at m = {m} (root-find residual {residual:.2e})"
         )
-    k0, s = float(sol[0]), float(sol[1])
-    return k0, s
+    return sol[0], sol[1]
 
 
 def geometric_ratio_for_gain(target_gain: float, m: int) -> float:

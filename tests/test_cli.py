@@ -92,25 +92,20 @@ from entangle_sense.config import SCENARIOS
 config = out / "empty.json"
 config.write_text("{}")
 assert cli.main(["validate", str(config)]) == 0
+assert "scipy" not in sys.modules, "validate imported scipy"
 for fig in SCENARIOS:
-    if fig != "fig2d":
-        assert cli.main(["run", "--scenario", fig, "--seed", "0", "--out", str(out), "--quiet"]) == 0
-assert "scipy" not in sys.modules, "scipy imported before fig2d"
-assert cli.main(["run", "--scenario", "fig2d", "--seed", "0", "--out", str(out), "--quiet"]) == 0
-assert "scipy" in sys.modules, "fig2d ran without scipy"
+    assert cli.main(["run", "--scenario", fig, "--seed", "0", "--out", str(out), "--quiet"]) == 0
+    assert "scipy" not in sys.modules, f"{fig} imported scipy"
 """
 
 
-def test_only_fig2d_imports_scipy(tmp_path):
+def test_no_scenario_imports_scipy(tmp_path):
     subprocess.run(
         [sys.executable, "-c", SCIPY_GUARD, str(SRC), str(tmp_path)], check=True, cwd=tmp_path
     )
     for fig in SCENARIOS:
         versions = json.loads((tmp_path / f"{fig}.meta.json").read_text())["versions"]
-        expected = {"python", "numpy", "scipy"} if fig == "fig2d" else {"python", "numpy"}
-        assert set(versions) == expected, fig
-        assert versions["python"] == platform.python_version()
-        assert versions["numpy"] == np.__version__
+        assert versions == {"python": platform.python_version(), "numpy": np.__version__}, fig
 
 
 def test_env_var_default_out(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from entangle_sense import dynamics, spinsys
 from entangle_sense.dynamics import (
     DecoherenceEnvelope,
     DriveTerm,
@@ -375,3 +376,14 @@ def test_hamiltonian_hermitian():
     )
     h = ham.assemble()
     assert np.max(np.abs(h - h.conj().T)) < 1e-12
+
+
+def test_assemble_builds_the_coupling_operator_once(monkeypatch):
+    ham = HamiltonianSpec(TWO, drives={"NV": DriveTerm(rabi=3.0e5, phase=0.4)}, coupling_hz=58.0e3)
+    first = ham.assemble()
+    calls = []
+    build = spinsys.build_operator
+    monkeypatch.setattr(spinsys, "build_operator", lambda *args: calls.append(args) or build(*args))
+    monkeypatch.setattr(dynamics, "build_operator", spinsys.build_operator, raising=False)
+    second = ham.assemble()
+    assert calls == [] and np.array_equal(first, second)

@@ -20,6 +20,7 @@ from entangle_sense.protocols import (
 from entangle_sense import protocols, spinsys
 from entangle_sense.spinsys import (
     GAMMA_E,
+    InfeasibleError,
     LayoutError,
     StateError,
     bell_coherence,
@@ -246,6 +247,22 @@ def test_nuclear_contrast_factors():
 
 # ---------------------------------------------------------------------------
 # executor envelope discipline
+
+
+def test_repeat_gate_calibration_runs_no_transfer(monkeypatch):
+    first = calibrate_gate_error(0.76, 0.80, 58e3, 132e-6, 0.14)
+    transfer = protocols.polarization_transfer
+    calls = []
+    monkeypatch.setattr(
+        protocols, "polarization_transfer", lambda *args: calls.append(args) or transfer(*args)
+    )
+    assert calibrate_gate_error(0.76, 0.80, 58e3, 132e-6, 0.14) is first
+    assert calls == []
+    # an unreachable target is not cached: each call solves again and raises
+    for _ in range(2):
+        with pytest.raises(InfeasibleError):
+            calibrate_gate_error(0.99, 0.80, 58e3, 132e-6, 0.14)
+    assert len(calls) == 4  # the two bracket ends, twice
 
 
 def test_calibrate_gate_error_reproduces_target():

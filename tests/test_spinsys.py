@@ -1,4 +1,6 @@
+import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entangle_sense import protocols, readout
+from entangle_sense import protocols, readout, spinsys
+from entangle_sense.config import resolve
 from entangle_sense.spinsys import (
     GAMMA_E,
     DensityState,
@@ -16,11 +19,13 @@ from entangle_sense.spinsys import (
     bell_coherence,
     brentq,
     build_operator,
+    hybrd,
     layout,
     polarized_state,
     pure_state,
     single_spin_operator,
     validate_density_matrix,
+    zz_operator,
 )
 
 
@@ -79,6 +84,17 @@ def test_single_spin_operator_is_built_once_and_read_only():
     assert np.array_equal(
         single_spin_operator(layout("NV", "Xe"), "NV", "Sz").matrix, np.diag([0.5, 0.5, -0.5, -0.5])
     )
+
+
+def test_zz_operator_is_built_once_and_read_only(monkeypatch):
+    for lay in (layout("NV", "Xe"), layout("Xe", "Xn", "NV")):
+        op = zz_operator(lay)
+        fresh = build_operator(lay, {**{lbl: "I" for lbl in lay.subsystems}, "NV": "Sz", "Xe": "Sz"})
+        assert np.array_equal(op.matrix, fresh.matrix) and op.hermitian
+        assert not op.matrix.flags.writeable
+        monkeypatch.setattr(spinsys, "build_operator", None)  # a rebuild would raise
+        assert zz_operator(lay) is op
+        monkeypatch.undo()
 
 
 def _solve(solver, f, a, b, xtol):
@@ -147,6 +163,7 @@ def _calibrations(monkeypatch, solver):
     """calibrate_gate_error and geometric_ratio_for_gain over their CLI ranges with ``solver``."""
     monkeypatch.setattr(protocols, "brentq", solver)
     monkeypatch.setattr(readout, "brentq", solver)
+    protocols.calibrate_gate_error.cache_clear()  # each solver calibrates afresh
     out = []
     for pump in (0.6, 0.8, 0.95):
         for target in np.linspace(0.05, 0.95, 73):
@@ -164,6 +181,56 @@ def test_calibrations_match_scipy_brentq(monkeypatch):
     ours = _calibrations(monkeypatch, brentq)
     assert ours == _calibrations(monkeypatch, scipy.optimize.brentq)
     assert sum(isinstance(v, float) for v in ours) > 1050
+
+
+def _fig2d_ladder_inputs(override):
+    """calibrate_ladder's (amplitude sum, SNR gain, m) for a fig2d config override."""
+    cfg = resolve(scenario="fig2d", config_text=json.dumps(override))
+    return cfg["readout.amplitude_sum"], cfg["readout.snr_at_m"], int(cfg["readout.m_max"])
+
+
+def test_hybrd_matches_scipy_fsolve(monkeypatch):
+    """calibrate_ladder's equations: fsolve's x, f(x) and info, bit for bit.
+
+    Each solve runs both solvers on the same equations, so the draws
+    that do not converge (info 4 and 5) are compared too.
+    """
+    infos = Counter()
+
+    def both(f, x0):
+        ours = hybrd(f, x0)
+        x, out, ier, _ = scipy.optimize.fsolve(f, np.array(x0), full_output=True)
+        assert ours == (x.tolist(), out["fvec"].tolist(), ier), x0
+        infos[ier] += 1
+        return ours
+
+    monkeypatch.setattr(readout, "hybrd", both)
+    assert readout.calibrate_ladder(*_fig2d_ladder_inputs({})) == (4.065652529320893, 4.2909773652096)
+    # test_cli's fig2d configs that exit 3: an all-ones ladder and a unit SNR gain
+    for override in ({"readout": {"amplitude_sum": 10}}, {"readout": {"snr_at_m": 1.0}}):
+        with pytest.raises(InfeasibleError):
+            readout.calibrate_ladder(*_fig2d_ladder_inputs(override))
+    rng = np.random.default_rng(1811)
+    with np.errstate(over="ignore"):  # steep trial ladders overflow (k/k0)**s to inf
+        for _ in range(800):
+            m = int(rng.integers(1, 41))
+            amplitude_sum = m + 1.0 - m * rng.uniform()  # in (1, m + 1]
+            snr = rng.uniform(1.0, 1.1 * math.sqrt(m + 1.0))
+            try:
+                readout.calibrate_ladder(amplitude_sum, snr, m)
+            except InfeasibleError:
+                pass
+    # 1 to 4 equations, scaled up to 1e±30 to reach enorm's small and large
+    # sums; every tenth start is x = 0, where the Jacobian step is sqrt(eps)
+    with np.errstate(all="ignore"):
+        for trial in range(300):
+            n = int(rng.integers(1, 5))
+            a, b = rng.normal(size=(n, n)), rng.normal(size=n)
+            scale = 10.0 ** rng.choice([-30, -5, 0, 5, 30], size=n)
+            power = 1 if trial % 2 else 3
+            x0 = rng.normal(size=n) * 10.0 ** rng.choice([-20, 0, 3]) if trial % 10 else np.zeros(n)
+            both(lambda x: (a @ x**power + np.sin(x) - b) * scale, x0.tolist())
+    assert infos[1] > 200 and infos[4] > 100 and infos[5] > 500, infos
 
 
 def test_polarized_state_examples():
