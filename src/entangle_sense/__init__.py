@@ -7,10 +7,8 @@ __version__ = "0.1.0"
 from .spinsys import (  # noqa: F401
     GAMMA_E,
     DensityState,
-    Operator,
     SpinLayout,
     bell_coherence,
-    build_operator,
     layout,
     polarized_state,
     pure_state,

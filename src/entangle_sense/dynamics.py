@@ -20,14 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .spinsys import (
-    GAMMA_E,
-    DensityState,
-    LayoutError,
-    SpinLayout,
-    single_spin_operator,
-    zz_operator,
-)
+from .spinsys import GAMMA_E, SX, SY, SZ, SZ_SZ, DensityState, SpinLayout, pair_operator
 
 HAMILTONIAN_HERMITICITY_TOL = 1e-12
 
@@ -50,30 +43,26 @@ class DriveTerm:
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Time-independent rotating-frame Hamiltonian for a spin layout."""
+    """Time-independent rotating-frame Hamiltonian of the (NV, Xe) pair."""
 
-    layout: SpinLayout
-    drives: Mapping[str, DriveTerm] = field(default_factory=dict)
+    layout: SpinLayout  # names the space; SpinLayout admits only the pair
+    drives: Mapping[str, DriveTerm] = field(default_factory=dict)  # keyed "NV" / "Xe"
     coupling_hz: float = 0.0  # dressed-frame exchange rate d, between NV and Xe
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.coupling_hz):
             raise ValueError("coupling must be finite")
         for label in self.drives:
-            self.layout.index(label)
-        if self.coupling_hz != 0.0 and not ("NV" in self.layout and "Xe" in self.layout):
-            raise LayoutError("ZZ coupling requires both NV and Xe in the layout")
+            if label not in SX:
+                raise ValueError(f"drive on unknown spin {label!r}; the pair is NV and Xe")
 
     def assemble(self) -> np.ndarray:
         """Hamiltonian matrix (rad/s)."""
-        h = np.zeros((self.layout.dim, self.layout.dim), dtype=complex)
+        h = np.zeros((4, 4), dtype=complex)
         for label, drv in self.drives.items():
-            h += drv.rabi * (
-                np.cos(drv.phase) * single_spin_operator(self.layout, label, "Sx").matrix
-                + np.sin(drv.phase) * single_spin_operator(self.layout, label, "Sy").matrix
-            )
+            h += drv.rabi * (np.cos(drv.phase) * SX[label] + np.sin(drv.phase) * SY[label])
         if self.coupling_hz != 0.0:
-            h += 2.0 * np.pi * (2.0 * self.coupling_hz) * zz_operator(self.layout).matrix
+            h += 2.0 * np.pi * (2.0 * self.coupling_hz) * SZ_SZ
         dev = np.max(np.abs(h - h.conj().T))
         if dev > HAMILTONIAN_HERMITICITY_TOL:
             raise ValueError(f"assembled Hamiltonian deviates from Hermitian by {dev:.3e}")
@@ -150,37 +139,23 @@ def propagate(state: DensityState, ham: HamiltonianSpec, t: float) -> DensitySta
     """Unitary evolution rho -> U rho U+ with U = exp(-i H t)."""
     if t < 0:
         raise ValueError("propagation time must be >= 0")
-    if ham.layout != state.layout:
-        raise LayoutError("Hamiltonian layout does not match state layout")
     if t == 0.0:
         return state
-    mat = _evolve(state.matrix, expm_hermitian(ham.assemble(), t))
-    return DensityState(layout=state.layout, matrix=mat)
+    return DensityState(_evolve(state.matrix, expm_hermitian(ham.assemble(), t)))
 
 
 def optical_pump(state: DensityState, efficiency: float) -> DensityState:
-    """Kraus channel resetting the NV qubit toward |0>, other spins untouched."""
+    """Kraus channel resetting the NV qubit toward |0>, the Xe spin untouched."""
     if not 0.0 <= efficiency <= 1.0:
         raise ValueError("pump efficiency must be in [0, 1]")
-    lay = state.layout
-    if "NV" not in lay:
-        raise LayoutError("optical pump requires an NV subsystem")
     kraus = [np.sqrt(1.0 - efficiency) * np.eye(2, dtype=complex)]
     reset0 = np.zeros((2, 2), dtype=complex)
     reset0[0, 0] = 1.0
     reset1 = np.zeros((2, 2), dtype=complex)
     reset1[0, 1] = 1.0
     kraus += [np.sqrt(efficiency) * reset0, np.sqrt(efficiency) * reset1]
-
-    def lift(k2: np.ndarray) -> np.ndarray:
-        full = np.array([[1.0 + 0.0j]])
-        for lbl in lay.subsystems:
-            full = np.kron(full, k2 if lbl == "NV" else np.eye(2, dtype=complex))
-        return full
-
-    lifted = [lift(k) for k in kraus]
-    out = sum(_evolve(state.matrix, k) for k in lifted)
-    return DensityState(layout=lay, matrix=out)
+    identity = np.eye(2, dtype=complex)
+    return DensityState(sum(_evolve(state.matrix, pair_operator(k, identity)) for k in kraus))
 
 
 def driven_decay(mat: np.ndarray, t1rho_s: float, t: float, block: str) -> np.ndarray:
@@ -243,21 +218,17 @@ def monte_carlo_propagate(
     The noise enters as a fluctuating common Sz field on the electronic
     spins.  Per-trajectory seeds derive deterministically from the master
     seed, so results do not depend on evaluation order.  Each time step
-    evolves the whole (trajectories, d, d) stack at once, through one
+    evolves the whole (trajectories, 4, 4) stack at once, through one
     stacked expm_hermitian call.
     """
     if t < 0:
         raise ValueError("propagation time must be >= 0")
-    if ham.layout != state.layout:
-        raise LayoutError("Hamiltonian layout does not match state layout")
     if noise.sigma_b_gauss == 0.0 or t == 0.0:
         return propagate(state, ham, t)
     n_steps = max(10, int(np.ceil(t / (noise.tau_c_s / 10.0))))
     dt = t / n_steps
     h0 = ham.assemble()
-    sz_sum = single_spin_operator(ham.layout, "NV", "Sz").matrix if "NV" in ham.layout else 0.0
-    if "Xe" in ham.layout:
-        sz_sum = sz_sum + single_spin_operator(ham.layout, "Xe", "Sz").matrix
+    sz_sum = SZ["NV"] + SZ["Xe"]
     paths = np.stack([
         ou_trajectory(noise, n_steps, dt, np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(traj,))))
@@ -267,4 +238,4 @@ def monte_carlo_propagate(
     for k in range(n_steps):
         h = h0 + GAMMA_E * paths[:, k, None, None] * sz_sum
         mats = _evolve(mats, expm_hermitian(h, dt))
-    return DensityState(layout=state.layout, matrix=mats.sum(axis=0) / noise.trajectories)
+    return DensityState(mats.sum(axis=0) / noise.trajectories)

@@ -25,13 +25,13 @@ from functools import lru_cache
 import numpy as np
 
 from .spinsys import (
+    P0_NV,
+    SZ,
+    TWO_SPIN_LAYOUT,
     DensityState,
     InfeasibleError,
-    LayoutError,
     brentq,
-    layout,
     polarized_state,
-    single_spin_operator,
 )
 from .dynamics import (
     EXCHANGE_BLOCKS,
@@ -41,8 +41,6 @@ from .dynamics import (
     expm_hermitian,
     optical_pump,
 )
-
-TWO_SPIN_LAYOUT = layout("NV", "Xe")
 
 # matched-drive Rabi frequency over the exchange coupling 2*pi*d: strong
 # enough that the dressed frame holds, for the recipe check and fig1f
@@ -135,17 +133,15 @@ def apply_exchange_gate(
     The three steps act on matrices; the output is validated once, as one
     DensityState (one stack for an array of phases).
     """
-    if state.layout != TWO_SPIN_LAYOUT:
-        raise LayoutError("exchange gates act on the (NV, Xe) pair")
     theta = 2.0 * np.pi * params.d_hz * duration
     u = exchange_unitary(theta, phase, block)
     mat = u @ state.matrix @ np.swapaxes(u.conj(), -1, -2)
     if params.t1rho_s is not None:
         mat = driven_decay(mat, params.t1rho_s, duration, block)
     if params.epsilon != 0.0:
-        mixed = np.eye(TWO_SPIN_LAYOUT.dim, dtype=complex) / TWO_SPIN_LAYOUT.dim
+        mixed = np.eye(4, dtype=complex) / 4
         mat = (1.0 - params.epsilon) * mat + params.epsilon * mixed
-    return DensityState(TWO_SPIN_LAYOUT, mat)
+    return DensityState(mat)
 
 
 @lru_cache(maxsize=8)
@@ -187,11 +183,11 @@ def verify_phase_recipes(d_hz: float) -> dict[str, float]:
 
 
 def x_polarization(state: DensityState) -> float:
-    return float(2.0 * state.expectation(single_spin_operator(state.layout, "Xe", "Sz")))
+    return 2.0 * state.expectation(SZ["Xe"])
 
 
 def nv_polarization(state: DensityState) -> float:
-    return float(2.0 * state.expectation(single_spin_operator(state.layout, "NV", "Sz")))
+    return 2.0 * state.expectation(SZ["NV"])
 
 
 def polarization_transfer(
@@ -218,8 +214,6 @@ def polarization_transfer(
 
 def prepare_entangled(state: DensityState, params: GateParams) -> DensityState:
     """Half-exchange entangling gate creating Bell-block coherence."""
-    if state.layout != TWO_SPIN_LAYOUT:
-        raise LayoutError("prepare_entangled acts on the (NV, Xe) pair")
     return apply_exchange_gate(state, params, params.entangle_time, block="dq")
 
 
@@ -243,9 +237,8 @@ def modulated_disentangle_scan(
     """
     if f_nv_hz < 0 or f_x_hz < 0:
         raise ValueError("modulation frequencies must be >= 0")
-    p0_nv = single_spin_operator(TWO_SPIN_LAYOUT, "NV", "P0")
     phase = 2.0 * np.pi * (f_nv_hz + f_x_hz) * np.asarray(t_grid, dtype=float)
-    return disentangle(rho_phi, params, phase=phase).expectation(p0_nv)
+    return disentangle(rho_phi, params, phase=phase).expectation(P0_NV)
 
 
 def dominant_frequency(t_grid: np.ndarray, signal: np.ndarray) -> float:

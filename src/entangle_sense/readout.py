@@ -58,7 +58,8 @@ def calibrate_ladder(
         g = np.sqrt(np.sum(a**2))
         return np.array([np.sum(a) - amplitude_sum, g - snr_at_m])
 
-    sol, fvec, ier = hybrd(equations, [m / 2.0, 2.0])
+    with np.errstate(over="ignore"):  # (k/k0)**s overflows at far trial points; exp(-inf) = 0
+        sol, fvec, ier = hybrd(equations, [m / 2.0, 2.0])
     residual = np.max(np.abs(fvec))
     if ier != 1 or residual > 1e-9:
         raise InfeasibleError(

@@ -40,7 +40,6 @@ from .protocols import (
     RABI_OVER_COUPLING,
     GateParams,
     NuclearFactor,
-    TWO_SPIN_LAYOUT,
     calibrate_gate_error,
     dominant_frequency,
     modulated_disentangle_scan,
@@ -50,7 +49,7 @@ from .protocols import (
     verify_phase_recipes,
 )
 from .readout import calibrate_ladder, geometric_ratio_for_gain, snr_gain, stretched_ladder
-from .spinsys import InfeasibleError, bell_coherence, polarized_state, single_spin_operator
+from .spinsys import SX, TWO_SPIN_LAYOUT, InfeasibleError, bell_coherence, polarized_state
 
 # Reconstructed per-readout amplitude ladder for the repetitive-readout
 # gain figure (normalized to the direct readout; digitized working point).
@@ -114,8 +113,6 @@ def run_fig1f(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
     # the matched drives lock the spins along their drive axes, so the
     # exchanged polarization lives on Sx (the lab z populations just
     # precess at the Rabi frequency); start NV locked, X anti-locked
-    sx_x = single_spin_operator(TWO_SPIN_LAYOUT, "Xe", "Sx").matrix
-    sx_nv = single_spin_operator(TWO_SPIN_LAYOUT, "NV", "Sx").matrix
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
     minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
     psi0 = np.kron(plus, minus)
@@ -123,8 +120,8 @@ def run_fig1f(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
     t_grid = np.linspace(0.0, 1.2 / d, 1201)
     u = expm_hermitian(h, t_grid)
     rho = u @ rho0 @ np.swapaxes(u.conj(), -1, -2)
-    p_x = np.real(np.trace(rho @ sx_x, axis1=-2, axis2=-1)) * 2.0
-    p_nv = np.real(np.trace(rho @ sx_nv, axis1=-2, axis2=-1)) * 2.0
+    p_x = np.real(np.trace(rho @ SX["Xe"], axis1=-2, axis2=-1)) * 2.0
+    p_nv = np.real(np.trace(rho @ SX["NV"], axis1=-2, axis2=-1)) * 2.0
     k_star = int(np.argmax(p_x))
     # parabolic refinement of the transfer-time estimate
     if 0 < k_star < len(t_grid) - 1:

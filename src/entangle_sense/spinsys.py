@@ -1,11 +1,15 @@
-"""Labeled multi-spin-1/2 Hilbert spaces: operators and density states.
+"""The (NV, Xe) spin pair: its operators and density states.
 
-Systems are tensor products of up to three spin-1/2 subsystems labeled
-``NV`` (the optically addressed sensor qubit), ``Xe`` (the ancilla
-electronic spin), and ``Xn`` (the ancilla nuclear spin, rarely
-instantiated).  Single-spin operators follow the S = sigma/2 convention.
-The module also holds what every layer shares: the error types and the
-two root finders that the calibrations use, Brent's and Powell's hybrid.
+The sensor is two spin-1/2 electronic spins: ``NV``, the optically
+addressed sensor qubit, and ``Xe``, the electronic spin of the ancilla
+defect X.  Every state is a 4x4 density matrix in the basis |NV Xe> =
+|00>, |01>, |10>, |11>, or a (..., 4, 4) stack of them, and every
+operator the package reads is a read-only 4x4 module constant.  X's
+nuclear spin is not a subsystem: it enters as a scalar contrast factor,
+``protocols.NuclearFactor``.  Spin operators follow the S = sigma/2
+convention.  The module also holds what every layer shares: the error
+types and the two root finders that the calibrations use, Brent's and
+Powell's hybrid.
 """
 
 from __future__ import annotations
@@ -13,36 +17,44 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-KNOWN_LABELS = ("NV", "Xe", "Xn")
-
 TRACE_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-9
-OPERATOR_HERMITICITY_TOL = 1e-12
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_IDENTITY = np.eye(2, dtype=complex)
 
-SINGLE_SPIN_SYMBOLS: dict[str, np.ndarray] = {
-    "I": np.eye(2, dtype=complex),
-    "Sx": _SIGMA_X / 2.0,
-    "Sy": _SIGMA_Y / 2.0,
-    "Sz": _SIGMA_Z / 2.0,
-    "S+": np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
-    "S-": np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex),
-    "P0": np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
-    "P1": np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex),
-}
+
+def pair_operator(nv: np.ndarray, xe: np.ndarray) -> np.ndarray:
+    """nv (x) xe on the pair, read-only.
+
+    Seeded with [[1 + 0j]], so every entry passes through a complex
+    product: a plain np.kron(nv, xe) gives some entries other signed
+    zeros (Sy on the NV, for one), and the seed-0 digest pins outputs
+    computed from these exact matrices.
+    """
+    mat = np.kron(np.kron(np.array([[1.0 + 0.0j]]), nv), xe)
+    mat.setflags(write=False)
+    return mat
+
+
+# Sx, Sy and Sz on each spin, P0 = |0><0| on the NV, and the NV-Xe
+# coupling operator Sz (x) Sz; all Hermitian
+SX = {"NV": pair_operator(_SIGMA_X / 2.0, _IDENTITY), "Xe": pair_operator(_IDENTITY, _SIGMA_X / 2.0)}
+SY = {"NV": pair_operator(_SIGMA_Y / 2.0, _IDENTITY), "Xe": pair_operator(_IDENTITY, _SIGMA_Y / 2.0)}
+SZ = {"NV": pair_operator(_SIGMA_Z / 2.0, _IDENTITY), "Xe": pair_operator(_IDENTITY, _SIGMA_Z / 2.0)}
+P0_NV = pair_operator(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex), _IDENTITY)
+SZ_SZ = pair_operator(_SIGMA_Z / 2.0, _SIGMA_Z / 2.0)
 
 
 class LayoutError(ValueError):
-    """Raised for invalid subsystem layouts or layout mismatches."""
+    """Raised for a layout other than the (NV, Xe) pair."""
 
 
 class StateError(ValueError):
@@ -489,93 +501,48 @@ def _unpack_rotation(tau: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SpinLayout:
-    """Ordered collection of distinct spin-1/2 subsystem labels."""
+    """The subsystem labels of a state space; only the (NV, Xe) pair exists."""
 
     subsystems: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not self.subsystems:
-            raise LayoutError("layout needs at least one subsystem")
-        if len(set(self.subsystems)) != len(self.subsystems):
-            raise LayoutError(f"duplicate labels in layout: {self.subsystems}")
-        for label in self.subsystems:
-            if label not in KNOWN_LABELS:
-                raise LayoutError(f"unknown label {label!r}; expected one of {KNOWN_LABELS}")
-
-    @property
-    def dim(self) -> int:
-        return 2 ** len(self.subsystems)
-
-    def index(self, label: str) -> int:
-        try:
-            return self.subsystems.index(label)
-        except ValueError:
-            raise LayoutError(f"label {label!r} not in layout {self.subsystems}") from None
-
-    def __contains__(self, label: str) -> bool:
-        return label in self.subsystems
+        if self.subsystems != ("NV", "Xe"):
+            raise LayoutError(f"the state space is the ('NV', 'Xe') pair, not {self.subsystems}")
 
 
 def layout(*labels: str) -> SpinLayout:
-    """Convenience constructor: ``layout("NV", "Xe")``."""
-    return SpinLayout(tuple(labels))
+    """``layout("NV", "Xe")``, the one layout there is."""
+    return SpinLayout(labels)
 
+
+TWO_SPIN_LAYOUT = layout("NV", "Xe")
 
 # electronic gyromagnetic ratio, angular frequency per Gauss
 GAMMA_E = 2.0 * np.pi * 2.8e6
 
 
 @dataclass(frozen=True)
-class Operator:
-    """A matrix tied to a layout, optionally flagged Hermitian."""
-
-    layout: SpinLayout
-    matrix: np.ndarray
-    hermitian: bool = False
-
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (self.layout.dim, self.layout.dim):
-            raise LayoutError(
-                f"matrix shape {mat.shape} does not match layout dim {self.layout.dim}"
-            )
-        if self.hermitian:
-            dev = np.max(np.abs(mat - mat.conj().T))
-            if dev > OPERATOR_HERMITICITY_TOL:
-                raise ValueError(f"operator flagged Hermitian deviates by {dev:.3e}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-
-@dataclass(frozen=True)
 class DensityState:
-    """Unit-trace Hermitian positive matrix over a spin layout.
+    """Unit-trace Hermitian positive 4x4 matrix of the (NV, Xe) pair.
 
-    The matrix may also be a (..., d, d) stack of such matrices, one
+    The matrix may also be a (..., 4, 4) stack of such matrices, one
     state per element, validated together in one call.
     """
 
-    layout: SpinLayout
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
         mat = np.array(self.matrix, dtype=complex)
-        if mat.shape[-2:] != (self.layout.dim, self.layout.dim):
-            raise LayoutError(
-                f"matrix shape {mat.shape} does not match layout dim {self.layout.dim}"
-            )
+        if mat.shape[-2:] != (4, 4):
+            raise StateError(f"matrix shape {mat.shape} is not (..., 4, 4)")
         validate_density_matrix(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    def expectation(self, op: Operator) -> float | complex | np.ndarray:
-        """Tr(op rho): a float for a Hermitian op, else complex; an array for a stack."""
-        if op.layout != self.layout:
-            raise LayoutError("operator layout does not match state layout")
-        val = np.trace(op.matrix @ self.matrix, axis1=-2, axis2=-1)
-        if val.ndim == 0:
-            val = complex(val)
-        return val.real if op.hermitian else val
+    def expectation(self, op: np.ndarray) -> float | np.ndarray:
+        """Tr(op rho) of a Hermitian 4x4 op: a float, or an array for a stack."""
+        val = np.trace(op @ self.matrix, axis1=-2, axis2=-1).real
+        return float(val) if val.ndim == 0 else val
 
 
 def validate_density_matrix(mat: np.ndarray) -> None:
@@ -599,82 +566,33 @@ def validate_density_matrix(mat: np.ndarray) -> None:
         raise StateError(f"minimum eigenvalue {min_eig:.3e} below -{POSITIVITY_TOL}")
 
 
-def build_operator(lay: SpinLayout, spec: Mapping[str, str]) -> Operator:
-    """Tensor product of single-spin symbols, one per subsystem, in layout order."""
-    missing = [s for s in lay.subsystems if s not in spec]
-    extra = [s for s in spec if s not in lay.subsystems]
-    if missing or extra:
-        raise LayoutError(f"spec must name every subsystem exactly once (missing={missing}, extra={extra})")
-    mat = np.array([[1.0 + 0.0j]])
-    hermitian = True
-    for label in lay.subsystems:
-        symbol = spec[label]
-        if symbol not in SINGLE_SPIN_SYMBOLS:
-            raise LayoutError(f"unknown single-spin symbol {symbol!r}")
-        if symbol in ("S+", "S-"):
-            hermitian = False
-        mat = np.kron(mat, SINGLE_SPIN_SYMBOLS[symbol])
-    return Operator(layout=lay, matrix=mat, hermitian=hermitian)
-
-
-@lru_cache(maxsize=None)
-def single_spin_operator(lay: SpinLayout, label: str, symbol: str) -> Operator:
-    """``symbol`` on subsystem ``label``, identity on the others; built once per triple.
-
-    Every call with the same arguments returns the same Operator, whose
-    matrix is read-only, so a write through an alias raises.
-    """
-    spec = {lbl: "I" for lbl in lay.subsystems}
-    spec[label] = symbol
-    return build_operator(lay, spec)
-
-
-@lru_cache(maxsize=None)
-def zz_operator(lay: SpinLayout) -> Operator:
-    """The NV–Xe coupling operator Sz ⊗ Sz, identity on the others; built once per layout.
-
-    Like `single_spin_operator`, every call with the same layout returns the
-    same Operator, whose matrix is read-only.
-    """
-    spec = {lbl: "I" for lbl in lay.subsystems}
-    spec["NV"] = "Sz"
-    spec["Xe"] = "Sz"
-    return build_operator(lay, spec)
-
-
 def single_spin_populations(p: float) -> np.ndarray:
     return np.diag([(1.0 + p) / 2.0, (1.0 - p) / 2.0]).astype(complex)
 
 
 def polarized_state(lay: SpinLayout, polarizations: Mapping[str, float]) -> DensityState:
     """Product state of diagonal single-spin states with the given polarizations."""
-    mat = np.array([[1.0 + 0.0j]])
+    populations = []
     for label in lay.subsystems:
-        if label not in polarizations:
-            raise LayoutError(f"polarization missing for subsystem {label!r}")
         p = float(polarizations[label])
         if not -1.0 <= p <= 1.0:
             raise ValueError(f"polarization {p} for {label!r} out of [-1, 1]")
-        mat = np.kron(mat, single_spin_populations(p))
-    return DensityState(layout=lay, matrix=mat)
+        populations.append(single_spin_populations(p))
+    return DensityState(pair_operator(*populations))
 
 
 def pure_state(lay: SpinLayout, amplitudes: np.ndarray) -> DensityState:
-    """Density state from a (normalized) state vector."""
+    """Density state of the pair (``lay``) from a state vector, normalized here."""
     vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    if vec.shape[0] != lay.dim:
-        raise LayoutError("state vector length does not match layout dim")
     vec = vec / np.linalg.norm(vec)
-    return DensityState(layout=lay, matrix=np.outer(vec, vec.conj()))
+    return DensityState(np.outer(vec, vec.conj()))
 
 
 def bell_coherence(state: DensityState) -> complex | np.ndarray:
-    """The <00|rho|11> matrix element of an (NV, Xe) state, per element of a stack.
+    """The <00|rho|11> matrix element of a state, per element of a stack.
 
     Its magnitude quantifies the usable two-spin coherence in the
     Bell-state block.
     """
-    if state.layout.subsystems != ("NV", "Xe"):
-        raise LayoutError(f"bell_coherence needs the (NV, Xe) pair, got {state.layout.subsystems}")
     coherence = state.matrix[..., 0, 3]
     return coherence if coherence.ndim else complex(coherence)

@@ -367,6 +367,7 @@ def edge_configs(draw):
 @example(config={"decoherence": {"gamma2_x_hz": 1e9}})
 @example(config={"decoherence": {"p": 0.5}})
 @example(config={"run": {"trajectories": 1}})
+@example(config={"readout": {"amplitude_sum": 2.0805206665210703, "snr_at_m": 3.606548912716371, "m_max": 26}})
 def test_every_valid_config_runs_or_exits_cleanly(config):
     merged = {"sweep": dict(SMALL_SWEEP)}
     for section, values in config.items():

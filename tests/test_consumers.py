@@ -99,7 +99,7 @@ with tempfile.TemporaryDirectory() as tmp:
         assert cli.main(["run", "--scenario", fig, "--seed", "0", "--out", tmp, "--quiet"]) == 0
 pair = spinsys.layout("NV", "Xe")
 bell = spinsys.pure_state(pair, [1.0, 0.0, 0.0, 1.0])
-ham = dynamics.HamiltonianSpec(pair, coupling_hz=58.0e3)
+ham = dynamics.HamiltonianSpec(layout=pair, coupling_hz=58.0e3)
 noise = dynamics.OUNoiseModel(2.0e-3, 5.0e-6, trajectories=2)
 out = dynamics.monte_carlo_propagate(bell, ham, 20.0e-6, noise, seed=0)
 variance = dynamics.ou_phase_variance(noise, 20.0e-6)

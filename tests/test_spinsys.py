@@ -8,93 +8,74 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entangle_sense import protocols, readout, spinsys
+from entangle_sense import protocols, readout
 from entangle_sense.config import resolve
 from entangle_sense.spinsys import (
     GAMMA_E,
+    P0_NV,
+    SX,
+    SY,
+    SZ,
+    SZ_SZ,
+    TWO_SPIN_LAYOUT,
     DensityState,
     InfeasibleError,
     LayoutError,
     StateError,
     bell_coherence,
     brentq,
-    build_operator,
     hybrd,
     layout,
     polarized_state,
     pure_state,
-    single_spin_operator,
     validate_density_matrix,
-    zz_operator,
 )
+
+PAIR = layout("NV", "Xe")
 
 
 def test_layout_labels_and_dim():
-    lay = layout("NV", "Xe")
-    assert lay.dim == 4
-    assert lay.subsystems == ("NV", "Xe")
-    with pytest.raises(LayoutError):
-        layout("NV", "NV")
-    with pytest.raises(LayoutError):
-        layout("NV", "bogus")
+    # the (NV, Xe) pair is the only layout, and its states are 4x4
+    assert PAIR == TWO_SPIN_LAYOUT and PAIR.subsystems == ("NV", "Xe")
+    assert pure_state(PAIR, np.ones(4)).matrix.shape == (4, 4)
+    for labels in ((), ("NV",), ("Xe", "NV"), ("NV", "NV"), ("NV", "Xe", "Xn"), ("NV", "bogus")):
+        with pytest.raises(LayoutError):
+            layout(*labels)
+    for size in (1, 2, 8):
+        with pytest.raises(StateError, match="shape"):
+            pure_state(PAIR, np.ones(size))
 
 
 def test_gamma_e_positive():
     assert GAMMA_E == pytest.approx(2 * np.pi * 2.8e6)
 
 
-def test_build_operator_single_sz():
-    op = build_operator(layout("NV"), {"NV": "Sz"})
-    assert np.allclose(op.matrix, np.diag([0.5, -0.5]))
-
-
-def test_build_operator_tensor_identity():
-    op = build_operator(layout("NV", "Xe"), {"NV": "Sz", "Xe": "I"})
-    assert np.allclose(op.matrix, np.diag([0.5, 0.5, -0.5, -0.5]))
-
-
-def test_build_operator_zz_eigenvalues():
-    op = build_operator(layout("NV", "Xe"), {"NV": "Sz", "Xe": "Sz"})
-    assert np.allclose(np.diag(op.matrix), [0.25, -0.25, -0.25, 0.25])
+def test_pair_operators_are_read_only_kron_products():
+    i2 = np.eye(2)
+    sx = np.array([[0.0, 0.5], [0.5, 0.0]])
+    sy = np.array([[0.0, -0.5j], [0.5j, 0.0]])
+    sz = np.diag([0.5, -0.5])
+    expected = [
+        (SX["NV"], np.kron(sx, i2)), (SX["Xe"], np.kron(i2, sx)),
+        (SY["NV"], np.kron(sy, i2)), (SY["Xe"], np.kron(i2, sy)),
+        (SZ["NV"], np.kron(sz, i2)), (SZ["Xe"], np.kron(i2, sz)),
+        (P0_NV, np.kron(np.diag([1.0, 0.0]), i2)), (SZ_SZ, np.kron(sz, sz)),
+    ]
+    for op, reference in expected:
+        assert op.shape == (4, 4) and op.dtype == complex
+        assert np.array_equal(op, reference)
+        assert not op.flags.writeable
+        with pytest.raises(ValueError):
+            op[0, 0] = 7.0
+    assert set(SX) == set(SY) == set(SZ) == {"NV", "Xe"}
+    assert np.array_equal(np.diag(SZ_SZ), [0.25, -0.25, -0.25, 0.25])
 
 
 def test_commutator_algebra():
-    # [Sx, Sy] = i Sz on each subsystem of a two-spin layout
-    lay = layout("NV", "Xe")
-    for label in lay.subsystems:
-        spec = {lbl: "I" for lbl in lay.subsystems}
-        sx = build_operator(lay, {**spec, label: "Sx"}).matrix
-        sy = build_operator(lay, {**spec, label: "Sy"}).matrix
-        sz = build_operator(lay, {**spec, label: "Sz"}).matrix
+    # [Sx, Sy] = i Sz on each spin of the pair
+    for label in ("NV", "Xe"):
+        sx, sy, sz = SX[label], SY[label], SZ[label]
         assert np.max(np.abs(sx @ sy - sy @ sx - 1j * sz)) < 1e-12
-
-
-def test_single_spin_operator_is_built_once_and_read_only():
-    for lay in (layout("NV", "Xe"), layout("Xe", "NV", "Xn")):
-        for label in lay.subsystems:
-            for symbol in ("Sx", "Sy", "Sz", "P0", "S+"):
-                op = single_spin_operator(lay, label, symbol)
-                assert single_spin_operator(lay, label, symbol) is op
-                spec = {lbl: "I" for lbl in lay.subsystems}
-                fresh = build_operator(lay, {**spec, label: symbol})
-                assert np.array_equal(op.matrix, fresh.matrix) and op.hermitian == fresh.hermitian
-                assert not op.matrix.flags.writeable
-                with pytest.raises(ValueError):
-                    op.matrix[0, 0] = 7.0
-    assert np.array_equal(
-        single_spin_operator(layout("NV", "Xe"), "NV", "Sz").matrix, np.diag([0.5, 0.5, -0.5, -0.5])
-    )
-
-
-def test_zz_operator_is_built_once_and_read_only(monkeypatch):
-    for lay in (layout("NV", "Xe"), layout("Xe", "Xn", "NV")):
-        op = zz_operator(lay)
-        fresh = build_operator(lay, {**{lbl: "I" for lbl in lay.subsystems}, "NV": "Sz", "Xe": "Sz"})
-        assert np.array_equal(op.matrix, fresh.matrix) and op.hermitian
-        assert not op.matrix.flags.writeable
-        monkeypatch.setattr(spinsys, "build_operator", None)  # a rebuild would raise
-        assert zz_operator(lay) is op
-        monkeypatch.undo()
 
 
 def _solve(solver, f, a, b, xtol):
@@ -234,44 +215,37 @@ def test_hybrd_matches_scipy_fsolve(monkeypatch):
 
 
 def test_polarized_state_examples():
-    lay = layout("NV")
-    assert np.allclose(polarized_state(lay, {"NV": 1.0}).matrix, np.diag([1.0, 0.0]))
-    assert np.allclose(polarized_state(lay, {"NV": 0.0}).matrix, np.eye(2) / 2)
-    assert np.allclose(polarized_state(lay, {"NV": 0.76}).matrix, np.diag([0.88, 0.12]))
-    with pytest.raises(ValueError):
-        polarized_state(lay, {"NV": 1.2})
+    # the Xe spin in |0>: the NV's single-spin state times |0><0|
+    xe0 = np.diag([1.0, 0.0])
+    for p, nv in ((1.0, np.diag([1.0, 0.0])), (0.0, np.eye(2) / 2), (0.76, np.diag([0.88, 0.12]))):
+        assert np.allclose(polarized_state(PAIR, {"NV": p, "Xe": 1.0}).matrix, np.kron(nv, xe0))
+    for bad in ({"NV": 1.2, "Xe": 1.0}, {"NV": 0.0, "Xe": -1.5}):
+        with pytest.raises(ValueError):
+            polarized_state(PAIR, bad)
 
 
 def test_bell_coherence_phi_minus():
     psi = np.array([1.0, 0.0, 0.0, -1.0j]) / np.sqrt(2.0)
-    rho = pure_state(layout("NV", "Xe"), psi)
+    rho = pure_state(PAIR, psi)
     assert bell_coherence(rho) == pytest.approx(0.5j)
 
 
 def test_bell_coherence_mixed_zero():
-    rho = polarized_state(layout("NV", "Xe"), {"NV": 0.0, "Xe": 0.0})
+    rho = polarized_state(PAIR, {"NV": 0.0, "Xe": 0.0})
     assert bell_coherence(rho) == 0.0
 
 
-def test_bell_coherence_rejects_other_layouts():
-    psi = np.array([1.0, 0.0, 0.0, -1.0j]) / np.sqrt(2.0)
-    for lay, vec in (
-        (layout("Xe", "NV"), psi),
-        (layout("NV"), np.array([1.0, 0.0])),
-        (layout("NV", "Xe", "Xn"), np.kron(psi, np.array([1.0, 0.0]))),
-    ):
-        with pytest.raises(LayoutError):
-            bell_coherence(pure_state(lay, vec))
-
-
 def test_density_state_invariants_enforced():
-    lay = layout("NV")
-    with pytest.raises(StateError):
-        DensityState(lay, np.diag([0.7, 0.7]))  # trace != 1
-    with pytest.raises(StateError):
-        DensityState(lay, np.array([[0.5, 1.0], [0.0, 0.5]]))  # not Hermitian
-    with pytest.raises(StateError):
-        DensityState(lay, np.diag([1.5, -0.5]))  # negative eigenvalue
+    not_hermitian = np.eye(4) / 4
+    not_hermitian[0, 1] = 1.0
+    with pytest.raises(StateError, match="trace"):
+        DensityState(np.diag([0.7, 0.7, 0.0, 0.0]))
+    with pytest.raises(StateError, match="Hermiticity"):
+        DensityState(not_hermitian)
+    with pytest.raises(StateError, match="minimum eigenvalue"):
+        DensityState(np.diag([1.5, -0.5, 0.0, 0.0]))
+    with pytest.raises(StateError, match="shape"):
+        DensityState(np.diag([0.5, 0.5]))
 
 
 @settings(max_examples=30, deadline=None)
@@ -280,7 +254,7 @@ def test_density_state_invariants_enforced():
     p2=st.floats(min_value=-1.0, max_value=1.0),
 )
 def test_polarized_states_are_valid(p1, p2):
-    rho = polarized_state(layout("NV", "Xe"), {"NV": p1, "Xe": p2})
+    rho = polarized_state(PAIR, {"NV": p1, "Xe": p2})
     validate_density_matrix(rho.matrix)
     assert np.trace(rho.matrix).real == pytest.approx(1.0)
 
@@ -309,28 +283,21 @@ def test_validate_stack_flags_one_bad_matrix():
         with pytest.raises(StateError, match=invariant):
             validate_density_matrix(stack)
         with pytest.raises(StateError):
-            DensityState(layout("NV", "Xe"), stack.reshape(5, 10, 4, 4))
+            DensityState(stack.reshape(5, 10, 4, 4))
 
 
 def test_stacked_state_reads_per_element():
-    pair = layout("NV", "Xe")
     mats = _random_states(6, seed=1)
-    stack = DensityState(pair, mats)
-    ops = [
-        build_operator(pair, {"NV": "Sz", "Xe": "I"}),
-        build_operator(pair, {"NV": "S+", "Xe": "S+"}),
-    ]
-    for op in ops:
-        reference = [complex(np.trace(op.matrix @ m)) for m in mats]
-        if op.hermitian:
-            reference = [v.real for v in reference]
+    stack = DensityState(mats)
+    for op in (SZ["NV"], SX["Xe"], P0_NV, SZ_SZ):
+        reference = [complex(np.trace(op @ m)).real for m in mats]
         values = stack.expectation(op)
         assert values.shape == (6,)
         assert np.array_equal(values, reference)
-        single = DensityState(pair, mats[2]).expectation(op)
-        assert type(single) is type(reference[2]) and single == reference[2]
+        single = DensityState(mats[2]).expectation(op)
+        assert type(single) is float and single == reference[2]
     assert np.array_equal(bell_coherence(stack), mats[:, 0, 3])
-    single = bell_coherence(DensityState(pair, mats[2]))
+    single = bell_coherence(DensityState(mats[2]))
     assert type(single) is complex and single == mats[2, 0, 3]
-    with pytest.raises(LayoutError):
-        DensityState(pair, mats[..., :2, :2])
+    with pytest.raises(StateError, match="shape"):
+        DensityState(mats[..., :2, :2])
