@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from entangle_sense import dynamics, spinsys
 from entangle_sense.dynamics import (
     DecoherenceEnvelope,
     DriveTerm,
@@ -14,7 +15,15 @@ from entangle_sense.dynamics import (
     ou_trajectory,
     propagate,
 )
-from entangle_sense.spinsys import GAMMA_E, DensityState, layout, polarized_state, pure_state
+from entangle_sense.spinsys import (
+    GAMMA_E,
+    DensityState,
+    LayoutError,
+    StateError,
+    layout,
+    polarized_state,
+    pure_state,
+)
 
 TWO = layout("NV", "Xe")
 # the NV in |+> and the Xe spin in |0>: the NV coherence is rho[0, 2]; |0>
@@ -344,6 +353,18 @@ def test_monte_carlo_matches_per_trajectory_reference():
     assert np.array_equal(out.matrix, acc / noise.trajectories)
 
 
+def test_monte_carlo_rejects_layout_mismatch_with_noise():
+    # a swapped layout is refused when it is built, and a state of another
+    # size never reaches the propagator
+    ham = HamiltonianSpec(layout=TWO, coupling_hz=58e3)
+    noise = OUNoiseModel(sigma_b_gauss=2e-3, tau_c_s=5e-6, trajectories=4)
+    with pytest.raises(LayoutError):
+        rho = pure_state(layout("Xe", "NV"), np.array([1.0, 0.0, 0.0, 1.0]))
+        monte_carlo_propagate(rho, ham, 20e-6, noise, seed=0)
+    with pytest.raises(StateError, match="shape"):
+        monte_carlo_propagate(DensityState(np.eye(2) / 2.0), ham, 20e-6, noise, seed=0)
+
+
 def test_monte_carlo_zero_time_returns_state_unchanged():
     rho = _random_state(12)
     noise = OUNoiseModel(sigma_b_gauss=2e-3, tau_c_s=5e-6, trajectories=8)
@@ -362,3 +383,16 @@ def test_hamiltonian_hermitian():
     with pytest.raises(ValueError, match="unknown spin"):
         HamiltonianSpec(layout=TWO, drives={"Xn": DriveTerm(rabi=1e6)})
 
+
+def test_assemble_builds_the_coupling_operator_once(monkeypatch):
+    ham = HamiltonianSpec(TWO, drives={"NV": DriveTerm(rabi=3.0e5, phase=0.4)}, coupling_hz=58.0e3)
+    first = ham.assemble()
+    monkeypatch.setattr(spinsys, "pair_operator", None)  # a rebuild would raise
+    monkeypatch.setattr(dynamics, "pair_operator", None)
+    second = ham.assemble()
+    assert np.array_equal(first, second)
+    sx = np.array([[0.0, 0.5], [0.5, 0.0]])
+    sy = np.array([[0.0, -0.5j], [0.5j, 0.0]])
+    drive = 3.0e5 * (np.cos(0.4) * np.kron(sx, np.eye(2)) + np.sin(0.4) * np.kron(sy, np.eye(2)))
+    coupling = 2.0 * np.pi * (2.0 * 58.0e3) * np.kron(SZ, SZ)
+    assert np.allclose(second, drive + coupling, rtol=0.0, atol=1e-9)

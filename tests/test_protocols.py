@@ -20,9 +20,12 @@ from entangle_sense.protocols import (
 from entangle_sense import protocols, spinsys
 from entangle_sense.spinsys import (
     GAMMA_E,
+    DensityState,
     InfeasibleError,
+    LayoutError,
     StateError,
     bell_coherence,
+    layout,
     polarized_state,
     pure_state,
 )
@@ -73,6 +76,16 @@ def test_hhcp_rejects_bad_recipe():
     rho = pure_state(TWO_SPIN_LAYOUT, _ket(0))
     with pytest.raises(ValueError):
         apply_exchange_gate(rho, IDEAL, IDEAL.swap_time, block="sideways")
+
+
+def test_exchange_gate_needs_nv_xe_pair():
+    # the swapped pair and a lone NV are refused when their layouts are
+    # built, and a matrix of another size never becomes a state to gate
+    for labels, vec in ((("Xe", "NV"), _ket(1)), (("NV",), np.array([1.0, 0.0]))):
+        with pytest.raises(LayoutError):
+            apply_exchange_gate(pure_state(layout(*labels), vec), NOISY, NOISY.swap_time, block="zq")
+    with pytest.raises(StateError, match="shape"):
+        apply_exchange_gate(DensityState(np.eye(2) / 2.0), NOISY, NOISY.swap_time, block="zq")
 
 
 def test_exchange_gate_validates_its_output_once(monkeypatch):

@@ -8,7 +8,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entangle_sense import protocols, readout
+from entangle_sense import dynamics, protocols, readout, spinsys
 from entangle_sense.config import resolve
 from entangle_sense.spinsys import (
     GAMMA_E,
@@ -68,7 +68,48 @@ def test_pair_operators_are_read_only_kron_products():
         with pytest.raises(ValueError):
             op[0, 0] = 7.0
     assert set(SX) == set(SY) == set(SZ) == {"NV", "Xe"}
-    assert np.array_equal(np.diag(SZ_SZ), [0.25, -0.25, -0.25, 0.25])
+
+
+def test_build_operator_single_sz():
+    # Sz on the NV, with the Xe spin traced out, is the one-spin diag(1/2, -1/2)
+    nv_block = np.einsum("ajbj->ab", SZ["NV"].reshape(2, 2, 2, 2)) / 2.0
+    assert np.allclose(nv_block, np.diag([0.5, -0.5]))
+    assert polarized_state(PAIR, {"NV": 1.0, "Xe": 1.0}).expectation(SZ["NV"]) == pytest.approx(0.5)
+
+
+def test_build_operator_tensor_identity():
+    assert np.allclose(SZ["NV"], np.diag([0.5, 0.5, -0.5, -0.5]))
+    assert np.allclose(SZ["Xe"], np.diag([0.5, -0.5, 0.5, -0.5]))
+
+
+def test_build_operator_zz_eigenvalues():
+    assert np.allclose(np.diag(SZ_SZ), [0.25, -0.25, -0.25, 0.25])
+    assert np.allclose(np.linalg.eigvalsh(SZ_SZ), [-0.25, -0.25, 0.25, 0.25])
+
+
+def test_single_spin_operator_is_built_once_and_read_only(monkeypatch):
+    # the modules that apply the per-spin operators share the read-only
+    # constants, and a drive is assembled without building any operator
+    assert dynamics.SX is SX and dynamics.SY is SY and dynamics.SZ is SZ
+    assert protocols.SZ is SZ and protocols.P0_NV is P0_NV
+    for op in (*SX.values(), *SY.values(), *SZ.values(), P0_NV):
+        assert not op.flags.writeable
+    monkeypatch.setattr(spinsys, "pair_operator", None)  # a rebuild would raise
+    monkeypatch.setattr(dynamics, "pair_operator", None)
+    drive = dynamics.DriveTerm(rabi=2.0e5, phase=0.7)
+    h = dynamics.HamiltonianSpec(layout=PAIR, drives={"Xe": drive}, coupling_hz=0.0).assemble()
+    sx = np.kron(np.eye(2), np.array([[0.0, 0.5], [0.5, 0.0]]))
+    sy = np.kron(np.eye(2), np.array([[0.0, -0.5j], [0.5j, 0.0]]))
+    assert np.allclose(h, 2.0e5 * (np.cos(0.7) * sx + np.sin(0.7) * sy), rtol=0.0, atol=1e-9)
+
+
+def test_zz_operator_is_built_once_and_read_only(monkeypatch):
+    # SZ_SZ is the one coupling operator: assemble reads it and builds none
+    assert dynamics.SZ_SZ is SZ_SZ and not SZ_SZ.flags.writeable
+    monkeypatch.setattr(spinsys, "pair_operator", None)  # a rebuild would raise
+    monkeypatch.setattr(dynamics, "pair_operator", None)
+    h = dynamics.HamiltonianSpec(layout=PAIR, coupling_hz=58.0e3).assemble()
+    assert np.array_equal(h, 2.0 * np.pi * (2.0 * 58.0e3) * np.kron(np.diag([0.5, -0.5]), np.diag([0.5, -0.5])))
 
 
 def test_commutator_algebra():
@@ -233,6 +274,21 @@ def test_bell_coherence_phi_minus():
 def test_bell_coherence_mixed_zero():
     rho = polarized_state(PAIR, {"NV": 0.0, "Xe": 0.0})
     assert bell_coherence(rho) == 0.0
+
+
+def test_bell_coherence_rejects_other_layouts():
+    # a state of another layout is refused when its layout is built, and a
+    # matrix of another size never becomes a state to read
+    psi = np.array([1.0, 0.0, 0.0, -1.0j]) / np.sqrt(2.0)
+    for labels, vec in (
+        (("Xe", "NV"), psi),
+        (("NV",), np.array([1.0, 0.0])),
+        (("NV", "Xe", "Xn"), np.kron(psi, np.array([1.0, 0.0]))),
+    ):
+        with pytest.raises(LayoutError):
+            bell_coherence(pure_state(layout(*labels), vec))
+    with pytest.raises(StateError, match="shape"):
+        bell_coherence(DensityState(np.eye(2) / 2.0))
 
 
 def test_density_state_invariants_enforced():
