@@ -110,19 +110,19 @@ class SensitivityReport:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Max gain-in-sensitivity map over coupling and decoherence ratio."""
+    """Max gain-in-sensitivity maps over coupling and decoherence ratio."""
 
     d_axis_hz: np.ndarray
     ratio_axis: np.ndarray
-    values: np.ndarray  # shape (len(ratio_axis), len(d_axis))
+    values: np.ndarray  # shape (..., len(ratio_axis), len(d_axis))
 
     def __post_init__(self) -> None:
         d = np.asarray(self.d_axis_hz, dtype=float)
         r = np.asarray(self.ratio_axis, dtype=float)
         if np.any(np.diff(d) <= 0) or np.any(np.diff(r) <= 0):
             raise ValueError("sweep axes must be strictly increasing")
-        if self.values.shape != (len(r), len(d)):
-            raise ValueError("value grid shape must be (ratios, couplings)")
+        if self.values.shape[-2:] != (len(r), len(d)):
+            raise ValueError("value grid shape must end in (ratios, couplings)")
         object.__setattr__(self, "d_axis_hz", d)
         object.__setattr__(self, "ratio_axis", r)
 
@@ -440,7 +440,6 @@ def snr_bound_check(report: SensitivityReport) -> tuple[bool, list[str]]:
 def sweep_gain_map(
     d_axis_hz: Sequence[float],
     ratio_axis: Sequence[float],
-    use_repetitive_readout: bool,
     ladder: Sequence[float],
     alpha0_nv: float,
     alpha0_two_spin: float,
@@ -451,23 +450,24 @@ def sweep_gain_map(
     d_exp_hz: float,
     tau_rr_s: float,
 ) -> SweepGrid:
-    """Max gain-in-sensitivity over (tau, m) per (coupling, ratio) cell.
+    """Max gain-in-sensitivity per (coupling, ratio) cell, with one readout and with many.
 
     The two-spin preparation time scales inversely with the coupling; the
     two-spin decoherence rate is additive, Gamma2 = Gamma2_NV * (1 +
     ratio); nuclear polarization q = 1 throughout.  The cell gain is
     g(ratio, tau) * SNR-gain(m) * h(d, tau, m), maximized over 600
-    log-spaced tau from 1 us to 5 / Gamma2_NV, and with repetitive readout
-    over the readouts m of ``ladder`` (m = 0 without).  g is computed once
-    for all ratios and h once per coupling, by ``overhead_factor``.  With
-    repetitive readout each coupling first bounds every (ratio, tau) cell
-    by g * max_m(SNR * h), which is within 2 ulp of the cell's exact max
-    as all factors are >= 0; the exact (SNR * g) * h is then formed only
-    at the cells within 1e-13 of their row's bound, so the result is
-    bit-identical to a per-cell max.  Cells with g == 0 are never taken
-    (they contribute exactly 0, the initial value), and a row whose bound
-    is below 2**-1000, where the ulp argument fails, takes all its g > 0
-    cells.
+    log-spaced tau from 1 us to 5 / Gamma2_NV; ``values[0]`` has one
+    readout (m = 0), ``values[1]`` the best m of ``ladder``.  g is computed
+    once for all ratios and h once per coupling for every m, by
+    ``overhead_factor``; h's row m = 0 serves the single readout (m = 0 and
+    m = 1 have no repetition dead time).  For ``values[1]`` each coupling
+    first bounds every (ratio, tau) cell by g * max_m(SNR * h), within
+    2 ulp of the cell's exact max as all factors are >= 0; the exact
+    (SNR * g) * h is then formed only at the cells within 1e-13 of their
+    row's bound, so the result is bit-identical to a per-cell max.  Cells
+    with g == 0 are never taken (they contribute exactly 0, the initial
+    value), and a row whose bound is below 2**-1000, where the ulp argument
+    fails, takes all its g > 0 cells.
 
     g is ``gain_performance`` at q = 1 written in the log domain,
     2 * (alpha0_two / alpha0_nv) * exp((gamma2_NV tau)^p - (gamma2_two tau)^p),
@@ -484,23 +484,18 @@ def sweep_gain_map(
         (gamma2_nv_hz * tau_grid) ** p - (gamma2_two[:, None] * tau_grid) ** p
     )
     g = 2.0 * amp_ratio  # (ratio, tau); q = 1: nuclear factor unity
-    if use_repetitive_readout:
-        repetitions = np.arange(len(ladder))[:, None]
-        snr = snr_gain(ladder)[:, None]
-    else:
-        repetitions = 1  # a single readout: no repetition dead time
-    values = np.zeros((len(ratios), len(d_axis)))
+    repetitions = np.arange(len(ladder))[:, None]
+    snr = snr_gain(ladder)[:, None]
+    values = np.zeros((2, len(ratios), len(d_axis)))
     for j, d in enumerate(d_axis):
         tau_phi = tau_phi_at_d_exp_s * (d_exp_hz / d)
         h = overhead_factor(TimingBudget(tau_grid, tau_nv_s, tau_phi, tau_rr_s, repetitions))
-        if not use_repetitive_readout:
-            values[:, j] = (g * h).max(axis=1)
-            continue
+        values[0, :, j] = (g * h[0]).max(axis=1)
         approx = g * (snr * h).max(axis=0)  # (ratio, tau), within 2 ulp of the exact max over m
         rowmax = approx.max(axis=1, keepdims=True)
         near = (approx >= (1.0 - 1e-13) * rowmax) | (rowmax < 2.0**-1000)
         ii, ts = np.nonzero(near & (g > 0))
-        np.maximum.at(values, (ii, j), (snr * g[ii, ts] * h[:, ts]).max(axis=0))
+        np.maximum.at(values, (1, ii, j), (snr * g[ii, ts] * h[:, ts]).max(axis=0))
     return SweepGrid(d_axis_hz=d_axis, ratio_axis=ratios, values=values)
 
 

@@ -1,7 +1,9 @@
 """Scenario configuration: defaults, JSON merging, and validation.
 
-Configs are plain JSON objects merged over the built-in defaults.  The
-validator reports every violation with a dotted parameter path (e.g.
+Configs are plain JSON objects merged over the built-in defaults, which
+come from one table, ``PARAMETERS``: each numeric key's default and range.
+The validator checks every row, then the rules that relate several keys,
+and reports each violation with a dotted parameter path (e.g.
 ``nuclear.polarization``) so configs can be fixed in one pass.
 """
 
@@ -28,63 +30,55 @@ SCENARIOS = (
     "fig4c",
 )
 
-DEFAULTS: dict[str, Any] = {
-    "scenario": None,
-    "coupling": {
-        "d_hz": 58.0e3,
-        # drive amplitude is not quoted; 2*pi*500 kHz is an assumption
-        # recorded in run metadata (well inside the matched-drive regime)
-        "rabi_rad_per_s": 2.0 * np.pi * 500.0e3,
-        "t1rho_s": 132.0e-6,
-    },
-    "decoherence": {
-        "gamma2_nv_hz": 22.0e3,
-        "gamma2_x_hz": 15.0e3,
-        # measured two-spin echo rate; close to the 22 + 15 kHz sum
-        "gamma2_two_spin_hz": 36.0e3,
-        "p": 1.6,
-        "alpha0_nv": 0.96,
-        "alpha0_two_spin": 0.78,
-    },
-    "nuclear": {
-        "polarization": 0.0,
-        "transitions": 1,
-    },
-    "budget": {
-        "tau_nv_s": 5.7e-6,
-        "tau_phi_s": 21.0e-6,
-        "tau_rr_s": 6.1e-6,
-    },
-    "pump": {
-        "efficiency": 0.80,
-    },
-    "calibration": {
-        "initial_x_polarization": 0.14,
-        "one_round_x_polarization": 0.76,
-    },
-    "readout": {
-        "amplitude_sum": 4.2,
-        "snr_at_m": 1.91,
-        "m_max": 9,
-    },
-    "sweep": {
-        "d_min_hz": 30.0e3,
-        "d_max_hz": 150.0e3,
-        "d_points": 40,
-        "ratio_min": 0.1,
-        "ratio_max": 1.4,
-        "ratio_points": 40,
-        "m_max": 30,
-    },
-    "run": {
-        "seed": 0,
-        "trajectories": 400,
-    },
-    "metadata": {
-        "static_field_gauss": 205.2,
-        "rabi_is_assumed": True,
-    },
+# dotted key: (default, low, high); integer bounds mark an integer key
+PARAMETERS: dict[str, tuple[Any, Any, Any]] = {
+    "coupling.d_hz": (58.0e3, 1.0, 1.0e9),
+    # drive amplitude is not quoted; 2*pi*500 kHz is an assumption
+    # recorded in run metadata (well inside the matched-drive regime)
+    "coupling.rabi_rad_per_s": (2.0 * np.pi * 500.0e3, 0.0, 1.0e12),
+    "coupling.t1rho_s": (132.0e-6, 1e-9, 1.0),
+    "decoherence.gamma2_nv_hz": (22.0e3, 0.0, 1.0e9),
+    "decoherence.gamma2_x_hz": (15.0e3, 0.0, 1.0e9),
+    # measured two-spin echo rate; close to the 22 + 15 kHz sum
+    "decoherence.gamma2_two_spin_hz": (36.0e3, 0.0, 1.0e9),
+    "decoherence.p": (1.6, 0.5, 3.0),
+    "decoherence.alpha0_nv": (0.96, 0.0, 1.0),
+    "decoherence.alpha0_two_spin": (0.78, 0.0, 1.0),
+    "nuclear.polarization": (0.0, 0.0, 1.0),
+    "nuclear.transitions": (1, 1, 2),
+    "budget.tau_nv_s": (5.7e-6, 0.0, 1.0),
+    "budget.tau_phi_s": (21.0e-6, 0.0, 1.0),
+    "budget.tau_rr_s": (6.1e-6, 0.0, 1.0),
+    "pump.efficiency": (0.80, 0.0, 1.0),
+    "calibration.initial_x_polarization": (0.14, -1.0, 1.0),
+    "calibration.one_round_x_polarization": (0.76, -1.0, 1.0),
+    "readout.amplitude_sum": (4.2, 1.0, 100.0),
+    "readout.snr_at_m": (1.91, 1.0, 100.0),
+    "readout.m_max": (9, 0, 1000),
+    "sweep.d_min_hz": (30.0e3, 1.0, 1e9),
+    "sweep.d_max_hz": (150.0e3, 1.0, 1e9),
+    "sweep.d_points": (40, 2, 1000),
+    "sweep.ratio_min": (0.1, 0.0, 100.0),
+    "sweep.ratio_max": (1.4, 0.0, 100.0),
+    "sweep.ratio_points": (40, 2, 1000),
+    "sweep.m_max": (30, 0, 1000),
+    "run.seed": (0, 0, 2**63 - 1),
+    "run.trajectories": (400, 1, 10**9),
 }
+
+# keys strictly above their low bound: the scenarios divide by them or need them above it
+OPEN_BELOW = {"decoherence.gamma2_nv_hz", "decoherence.alpha0_nv", "readout.amplitude_sum"}
+
+
+def _defaults() -> dict[str, Any]:
+    out: dict[str, Any] = {"scenario": None}
+    for key, (default, _, _) in PARAMETERS.items():
+        section, name = key.split(".")
+        out.setdefault(section, {})[name] = default
+    return {**out, "metadata": {"static_field_gauss": 205.2, "rabi_is_assumed": True}}
+
+
+DEFAULTS: dict[str, Any] = _defaults()
 
 
 MISSING_SCENARIO = "scenario: required parameter is missing"
@@ -136,12 +130,8 @@ def _merge(base: dict, override: dict, path: str, diagnostics: list[str]) -> dic
 
 
 def _check_number(data: dict, path: str, low: float, high: float, diagnostics: list[str],
-                  integer: bool = False, low_open: bool = False) -> Any:
-    """Check one numeric parameter; return its value when valid, else None.
-
-    low_open excludes the lower bound, for values the scenarios divide by
-    or need strictly above it.
-    """
+                  integer: bool, low_open: bool) -> Any:
+    """Check one numeric parameter; return its value when valid, else None."""
     node: Any = data
     for part in path.split("."):
         node = node.get(part) if isinstance(node, dict) else None
@@ -161,13 +151,14 @@ def _check_number(data: dict, path: str, low: float, high: float, diagnostics: l
     return node
 
 
-def _check_axis(low_path: str, low: Any, high_path: str, high: Any, points: Any,
+def _check_axis(low_path: str, high_path: str, points_path: str, values: dict[str, Any],
                 diagnostics: list[str]) -> None:
     """Cross-field rules of a sweep axis, checked only when all three values are valid.
 
     low < high, and the linspace of ``points`` values between them is
     strictly increasing (bounds a few ulp apart repeat a point).
     """
+    low, high, points = values[low_path], values[high_path], values[points_path]
     if low is None or high is None or points is None:
         return
     if not low < high:
@@ -179,49 +170,25 @@ def _check_axis(low_path: str, low: Any, high_path: str, high: Any, points: Any,
 
 
 def validate(data: dict[str, Any]) -> list[str]:
-    """Return a list of dotted-path diagnostics; empty means valid."""
+    """Return dotted-path diagnostics, per key in table order, then cross-field; empty means valid."""
     diagnostics: list[str] = []
     scenario = data.get("scenario")
     if scenario is None:
         diagnostics.append(MISSING_SCENARIO)
     elif scenario not in SCENARIOS:
         diagnostics.append(f"scenario: unknown scenario {scenario!r}; choose from {', '.join(SCENARIOS)}")
-    _check_number(data, "coupling.d_hz", 1.0, 1.0e9, diagnostics)
-    _check_number(data, "coupling.rabi_rad_per_s", 0.0, 1.0e12, diagnostics)
-    _check_number(data, "coupling.t1rho_s", 1e-9, 1.0, diagnostics)
-    _check_number(data, "decoherence.gamma2_nv_hz", 0.0, 1.0e9, diagnostics, low_open=True)
-    _check_number(data, "decoherence.gamma2_x_hz", 0.0, 1.0e9, diagnostics)
-    _check_number(data, "decoherence.gamma2_two_spin_hz", 0.0, 1.0e9, diagnostics)
-    _check_number(data, "decoherence.p", 0.5, 3.0, diagnostics)
-    _check_number(data, "decoherence.alpha0_nv", 0.0, 1.0, diagnostics, low_open=True)
-    _check_number(data, "decoherence.alpha0_two_spin", 0.0, 1.0, diagnostics)
-    _check_number(data, "nuclear.polarization", 0.0, 1.0, diagnostics)
-    _check_number(data, "nuclear.transitions", 1, 2, diagnostics, integer=True)
-    _check_number(data, "budget.tau_nv_s", 0.0, 1.0, diagnostics)
-    _check_number(data, "budget.tau_phi_s", 0.0, 1.0, diagnostics)
-    _check_number(data, "budget.tau_rr_s", 0.0, 1.0, diagnostics)
-    _check_number(data, "pump.efficiency", 0.0, 1.0, diagnostics)
-    _check_number(data, "calibration.initial_x_polarization", -1.0, 1.0, diagnostics)
-    _check_number(data, "calibration.one_round_x_polarization", -1.0, 1.0, diagnostics)
-    amplitude_sum = _check_number(data, "readout.amplitude_sum", 1.0, 100.0, diagnostics, low_open=True)
-    _check_number(data, "readout.snr_at_m", 1.0, 100.0, diagnostics)
-    m_max = _check_number(data, "readout.m_max", 0, 1000, diagnostics, integer=True)
+    values = {
+        key: _check_number(data, key, low, high, diagnostics, isinstance(low, int), key in OPEN_BELOW)
+        for key, (_, low, high) in PARAMETERS.items()
+    }
+    amplitude_sum, m_max = values["readout.amplitude_sum"], values["readout.m_max"]
     # the fig2d ladder a_k <= 1 over k = 0..m_max sums to at most m_max + 1
     if amplitude_sum is not None and m_max is not None and amplitude_sum > m_max + 1:
         diagnostics.append(
             f"readout.amplitude_sum: value {amplitude_sum} above readout.m_max + 1 ({m_max + 1})"
         )
-    d_min = _check_number(data, "sweep.d_min_hz", 1.0, 1e9, diagnostics)
-    d_max = _check_number(data, "sweep.d_max_hz", 1.0, 1e9, diagnostics)
-    d_points = _check_number(data, "sweep.d_points", 2, 1000, diagnostics, integer=True)
-    _check_axis("sweep.d_min_hz", d_min, "sweep.d_max_hz", d_max, d_points, diagnostics)
-    ratio_min = _check_number(data, "sweep.ratio_min", 0.0, 100.0, diagnostics)
-    ratio_max = _check_number(data, "sweep.ratio_max", 0.0, 100.0, diagnostics)
-    ratio_points = _check_number(data, "sweep.ratio_points", 2, 1000, diagnostics, integer=True)
-    _check_axis("sweep.ratio_min", ratio_min, "sweep.ratio_max", ratio_max, ratio_points, diagnostics)
-    _check_number(data, "sweep.m_max", 0, 1000, diagnostics, integer=True)
-    _check_number(data, "run.seed", 0, 2**63 - 1, diagnostics, integer=True)
-    _check_number(data, "run.trajectories", 1, 10**9, diagnostics, integer=True)
+    _check_axis("sweep.d_min_hz", "sweep.d_max_hz", "sweep.d_points", values, diagnostics)
+    _check_axis("sweep.ratio_min", "sweep.ratio_max", "sweep.ratio_points", values, diagnostics)
     return diagnostics
 
 

@@ -20,7 +20,7 @@ over the drive duration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -144,15 +144,20 @@ def apply_exchange_gate(
     return DensityState(mat)
 
 
-@lru_cache(maxsize=8)
-def verify_phase_recipes(d_hz: float) -> dict[str, float]:
+@cache
+def verify_phase_recipes() -> dict[str, float]:
     """Determine numerically which relative drive phase drives which block.
 
     Propagates the full two-spin drive+coupling Hamiltonian for relative
     phases 0 and pi and checks, in the dressed basis, which one realizes
     the zero-quantum flip-flop and which the double-quantum exchange.
     Returns {"zq": relative_phase, "dq": relative_phase}.
+
+    The matched drive Omega = RABI_OVER_COUPLING * 2 pi d and 1 / t_swap =
+    2 d both scale with d, so H * t_swap, and the answer, do not depend on
+    the coupling: the check runs once per process, at d = 1 Hz.
     """
+    d_hz = 1.0
     omega = RABI_OVER_COUPLING * 2.0 * np.pi * d_hz
     t_swap = 1.0 / (2.0 * d_hz)
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)

@@ -103,7 +103,7 @@ def run_fig1f(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
     """Coherent spin exchange under matched drives vs drive duration."""
     d = cfg["coupling.d_hz"]
     omega = max(cfg["coupling.rabi_rad_per_s"], RABI_OVER_COUPLING * 2.0 * np.pi * d)
-    recipes = verify_phase_recipes(d)
+    recipes = verify_phase_recipes()
     ham = HamiltonianSpec(
         layout=TWO_SPIN_LAYOUT,
         drives={"NV": DriveTerm(rabi=omega), "Xe": DriveTerm(rabi=omega, phase=recipes["zq"])},
@@ -440,14 +440,13 @@ def run_fig4c(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
         d_exp_hz=d_exp,
         tau_rr_s=cfg["budget.tau_rr_s"],
     )
-    grid_norr = sweep_gain_map(d_axis, ratio_axis, False, ladder, **fixed)
-    grid_rr = sweep_gain_map(d_axis, ratio_axis, True, ladder, **fixed)
+    norr, rr = sweep_gain_map(d_axis, ratio_axis, ladder, **fixed).values
     exp_ratio = cfg["decoherence.gamma2_x_hz"] / cfg["decoherence.gamma2_nv_hz"]
     i_exp = int(np.argmin(np.abs(ratio_axis - exp_ratio)))
     j_exp = int(np.argmin(np.abs(d_axis - d_exp)))
 
-    def crossing_d(grid) -> float | None:
-        row = grid.values[i_exp, :]
+    def crossing_d(values) -> float | None:
+        row = values[i_exp, :]
         above = np.nonzero(row >= 1.0)[0]
         if len(above) == 0 or above[0] == 0:
             return float(d_axis[0]) if len(above) else None
@@ -458,19 +457,19 @@ def run_fig4c(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
     columns = {
         "d[Hz]": np.repeat(d_axis, len(ratio_axis)),
         "gamma2_ratio[1]": np.tile(ratio_axis, len(d_axis)),
-        "max_gain_no_rr[1]": grid_norr.values.T.ravel(),
-        "max_gain_with_rr[1]": grid_rr.values.T.ravel(),
+        "max_gain_no_rr[1]": norr.T.ravel(),
+        "max_gain_with_rr[1]": rr.T.ravel(),
     }
     summary = {
         "experimental_cell": {
             "d_hz": float(d_axis[j_exp]),
             "gamma2_ratio": float(ratio_axis[i_exp]),
-            "max_gain_no_rr": float(grid_norr.values[i_exp, j_exp]),
-            "max_gain_with_rr": float(grid_rr.values[i_exp, j_exp]),
+            "max_gain_no_rr": float(norr[i_exp, j_exp]),
+            "max_gain_with_rr": float(rr[i_exp, j_exp]),
         },
         "boundary_no_rr": {
-            "d_crossing_hz_at_experimental_ratio": crossing_d(grid_norr),
-            "ratio_crossing_at_experimental_d": unity_crossing(ratio_axis, grid_norr.values[:, j_exp]),
+            "d_crossing_hz_at_experimental_ratio": crossing_d(norr),
+            "ratio_crossing_at_experimental_d": unity_crossing(ratio_axis, norr[:, j_exp]),
         },
         "fixed_inputs": {
             **fixed,

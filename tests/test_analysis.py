@@ -366,25 +366,25 @@ def _ladder(m_max):
     return LADDER_RATIO ** np.arange(m_max + 1)
 
 
-def _sweep(d_axis, ratio_axis, use_rr, m_max=DEFAULTS["sweep"]["m_max"], **overrides):
-    return sweep_gain_map(d_axis, ratio_axis, use_rr, _ladder(m_max), **{**SWEEP_INPUTS, **overrides})
+def _sweep(d_axis, ratio_axis, m_max=DEFAULTS["sweep"]["m_max"], **overrides):
+    """The (one readout, repetitive readout) maps, each (ratio, coupling)."""
+    return sweep_gain_map(d_axis, ratio_axis, _ladder(m_max), **{**SWEEP_INPUTS, **overrides}).values
 
 
 def test_sweep_monotone_in_coupling_and_ratio():
     d_axis = np.linspace(40e3, 120e3, 9)
     ratio_axis = np.linspace(0.2, 1.2, 9)
-    for use_rr in (False, True):
-        grid = _sweep(d_axis, ratio_axis, use_rr)
-        assert np.all(np.diff(grid.values, axis=1) >= -1e-10)  # increasing d
-        assert np.all(np.diff(grid.values, axis=0) <= 1e-10)  # increasing ratio hurts
+    for values in _sweep(d_axis, ratio_axis):
+        assert np.all(np.diff(values, axis=1) >= -1e-10)  # increasing d
+        assert np.all(np.diff(values, axis=0) <= 1e-10)  # increasing ratio hurts
 
 
 def test_sweep_limit_region():
     # ratio -> 0 and large d: g~ approaches 2 * alpha0 ratio (h -> 1)
-    grid = _sweep(np.array([1e6, 2e6]), np.array([1e-4, 2e-4]), False)
+    single = _sweep(np.array([1e6, 2e6]), np.array([1e-4, 2e-4]))[0]
     bound = 2 * 0.78 / 0.96
-    assert grid.values.max() <= bound + 1e-9
-    assert grid.values.max() > 0.98 * bound
+    assert single.max() <= bound + 1e-9
+    assert single.max() > 0.98 * bound
 
 
 def test_sweep_experimental_cell_flips_with_rr():
@@ -392,8 +392,9 @@ def test_sweep_experimental_cell_flips_with_rr():
     ratio_axis = np.linspace(0.1, 1.4, 25)
     i = int(np.argmin(np.abs(ratio_axis - 15 / 22)))
     j = int(np.argmin(np.abs(d_axis - 58e3)))
-    assert _sweep(d_axis, ratio_axis, False).values[i, j] < 1.0
-    assert _sweep(d_axis, ratio_axis, True).values[i, j] > 1.0
+    single, repeated = _sweep(d_axis, ratio_axis)
+    assert single[i, j] < 1.0
+    assert repeated[i, j] > 1.0
 
 
 def _per_cell_sweep(d_axis, ratio_axis, use_rr, ladder, alpha0_nv, alpha0_two_spin, gamma2_nv_hz,
@@ -444,17 +445,17 @@ SWEEP_REFERENCE_CASES = {
 def test_sweep_matches_per_cell_reference(use_rr, m_max):
     d_axis = np.linspace(30e3, 150e3, 7)
     for name, (ratio_axis, overrides) in SWEEP_REFERENCE_CASES.items():
-        grid = _sweep(d_axis, ratio_axis, use_rr, m_max, **overrides)
-        assert grid.values.shape == (len(ratio_axis), 7), name
+        values = _sweep(d_axis, ratio_axis, m_max, **overrides)
+        assert values.shape == (2, len(ratio_axis), 7), name
         expected = _per_cell_sweep(d_axis, ratio_axis, use_rr, _ladder(m_max), **{**SWEEP_INPUTS, **overrides})
-        assert np.array_equal(grid.values, expected), name
+        assert np.array_equal(values[int(use_rr)], expected), name
 
 
 def _sweep_peak_bytes(ratio_axis, **overrides):
     d_axis = np.linspace(30e3, 150e3, 40)
     tracemalloc.start()
     try:
-        _sweep(d_axis, ratio_axis, True, 30, **overrides)
+        _sweep(d_axis, ratio_axis, 30, **overrides)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import entangle_sense
 from entangle_sense.cli import main
-from entangle_sense.config import SCENARIOS, ConfigError, DEFAULTS, resolve, validate
+from entangle_sense.config import PARAMETERS, SCENARIOS, ConfigError, DEFAULTS, resolve, validate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -188,6 +188,60 @@ def test_defaults_pass_validation():
     assert validate(data) == []
 
 
+DELETE = object()
+
+# (dotted keys set on the defaults, or deleted, and the exact diagnostics),
+# written out here rather than derived from config.PARAMETERS, so a bound
+# or flag mistyped in the table fails
+VALIDATE_CASES = {
+    "open lower bound": (
+        {"decoherence.gamma2_nv_hz": 0},
+        ["decoherence.gamma2_nv_hz: value 0 outside (0.0, 1000000000.0]"],
+    ),
+    "closed bound reached": ({"decoherence.gamma2_x_hz": 0, "decoherence.p": 3.0}, []),
+    "closed bound passed": ({"decoherence.p": 3.5}, ["decoherence.p: value 3.5 outside [0.5, 3.0]"]),
+    "non-integer": ({"sweep.d_points": 2.5}, ["sweep.d_points: expected an integer"]),
+    "integer bound": ({"readout.m_max": -1}, ["readout.m_max: value -1 outside [0, 1000]"]),
+    "bool": ({"run.seed": True}, ["run.seed: expected a number, got bool"]),
+    "missing key": ({"coupling.t1rho_s": DELETE}, ["coupling.t1rho_s: required parameter is missing"]),
+    "ladder sum": (
+        {"readout.amplitude_sum": 11.0},
+        ["readout.amplitude_sum: value 11.0 above readout.m_max + 1 (10)"],
+    ),
+    "axis order": (
+        {"sweep.d_min_hz": 2e5},
+        ["sweep.d_min_hz: value 200000.0 must be below sweep.d_max_hz (150000.0)"],
+    ),
+    "axis spacing": (
+        {"sweep.ratio_min": 1.0, "sweep.ratio_max": 1.0000000000000002},
+        ["sweep.ratio_min: value 1.0 too close to sweep.ratio_max (1.0000000000000002) for 40 distinct points"],
+    ),
+    # the cross-field rules are checked after every key
+    "cross-field rules last": (
+        {"sweep.d_min_hz": 2e5, "readout.amplitude_sum": 11.0, "run.trajectories": 0},
+        [
+            "run.trajectories: value 0 outside [1, 1000000000]",
+            "readout.amplitude_sum: value 11.0 above readout.m_max + 1 (10)",
+            "sweep.d_min_hz: value 200000.0 must be below sweep.d_max_hz (150000.0)",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATE_CASES))
+def test_validate_messages(case):
+    changes, expected = VALIDATE_CASES[case]
+    data = json.loads(json.dumps(DEFAULTS))
+    data["scenario"] = "fig2a"
+    for key, value in changes.items():
+        section, name = key.split(".")
+        if value is DELETE:
+            del data[section][name]
+        else:
+            data[section][name] = value
+    assert validate(data) == expected
+
+
 # sha256 over the non-meta CSV/JSON outputs of all ten scenarios at seed 0
 # with the default config, in file-name order (the digest in ROADMAP.md)
 SEED0_DIGEST = "d99da458023874264d707c36656d0f1ad1db3045e2988f71066c2ae1daa0ec5f"
@@ -313,36 +367,9 @@ def test_nonconvergent_fit_exits_3_without_warnings(case, tmp_path, capsys):
 # validate's range for each key, except that the sweep grid sizes are drawn
 # only up to the default 40 x 40 grid and m_max 30: validate's upper edges
 # (1000) only add cells to fig4c and cost seconds per run
+RUNTIME_CAPS = {"sweep.d_points": 40, "sweep.ratio_points": 40, "sweep.m_max": 30}
 CONFIG_RANGES = {
-    "coupling.d_hz": (1.0, 1e9),
-    "coupling.rabi_rad_per_s": (0.0, 1e12),
-    "coupling.t1rho_s": (1e-9, 1.0),
-    "decoherence.gamma2_nv_hz": (0.0, 1e9),
-    "decoherence.gamma2_x_hz": (0.0, 1e9),
-    "decoherence.gamma2_two_spin_hz": (0.0, 1e9),
-    "decoherence.p": (0.5, 3.0),
-    "decoherence.alpha0_nv": (0.0, 1.0),
-    "decoherence.alpha0_two_spin": (0.0, 1.0),
-    "nuclear.polarization": (0.0, 1.0),
-    "nuclear.transitions": (1, 2),
-    "budget.tau_nv_s": (0.0, 1.0),
-    "budget.tau_phi_s": (0.0, 1.0),
-    "budget.tau_rr_s": (0.0, 1.0),
-    "pump.efficiency": (0.0, 1.0),
-    "calibration.initial_x_polarization": (-1.0, 1.0),
-    "calibration.one_round_x_polarization": (-1.0, 1.0),
-    "readout.amplitude_sum": (1.0, 100.0),
-    "readout.snr_at_m": (1.0, 100.0),
-    "readout.m_max": (0, 1000),
-    "sweep.d_min_hz": (1.0, 1e9),
-    "sweep.d_max_hz": (1.0, 1e9),
-    "sweep.d_points": (2, 40),
-    "sweep.ratio_min": (0.0, 100.0),
-    "sweep.ratio_max": (0.0, 100.0),
-    "sweep.ratio_points": (2, 40),
-    "sweep.m_max": (0, 30),
-    "run.seed": (0, 2**63 - 1),
-    "run.trajectories": (1, 10**9),
+    key: (low, min(high, RUNTIME_CAPS.get(key, high))) for key, (_, low, high) in PARAMETERS.items()
 }
 SMALL_SWEEP = {"d_points": 4, "ratio_points": 4, "m_max": 5}
 

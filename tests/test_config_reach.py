@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from entangle_sense.config import DEFAULTS, SCENARIOS, resolve
+from entangle_sense.config import DEFAULTS, PARAMETERS, SCENARIOS, resolve
 from entangle_sense.scenarios import SCENARIO_RUNNERS
 
 GATES = {"fig2a", "fig2b"}  # calibrated exchange gates
@@ -80,9 +80,8 @@ def baseline():
 
 
 def test_every_key_is_declared():
-    keys = {f"{section}.{name}" for section, values in DEFAULTS.items() if isinstance(values, dict)
-            for name in values}
-    assert keys == set(REACH)
+    metadata = {f"metadata.{name}" for name in DEFAULTS["metadata"]}
+    assert set(PARAMETERS) | metadata == set(REACH)
 
 
 @pytest.mark.parametrize("key", sorted(REACH))

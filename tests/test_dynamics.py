@@ -191,6 +191,15 @@ def test_apply_envelope_stretch_factor_oracle():
     assert abs(rho.matrix[0, 2] * env.decay(19e-6)) == pytest.approx(0.5 * expected, rel=1e-10)
 
 
+@pytest.mark.parametrize("p", [0.5, 1.6, 3.0])
+def test_zero_rate_does_not_decay(p):
+    env = DecoherenceEnvelope(1.0, 0.0, p)
+    scalar = env.decay(19e-6)
+    assert scalar == 1.0 and isinstance(scalar, float)
+    times = np.geomspace(2e-6, 120e-6, 40)
+    assert np.array_equal(env.decay(times), np.ones(40))
+
+
 def test_decay_exponential_composes_stretched_does_not():
     exp_env = DecoherenceEnvelope(1.0, 30e3, 1.0)
     assert exp_env.decay(10e-6) == pytest.approx(exp_env.decay(6e-6) * exp_env.decay(4e-6), rel=1e-12)
@@ -379,9 +388,31 @@ def test_hamiltonian_hermitian():
         coupling_hz=58e3,
     )
     h = ham.assemble()
-    assert np.max(np.abs(h - h.conj().T)) < 1e-12
+    assert np.array_equal(h, h.conj().T)
     with pytest.raises(ValueError, match="unknown spin"):
         HamiltonianSpec(layout=TWO, drives={"Xn": DriveTerm(rabi=1e6)})
+
+
+def test_assembled_hamiltonian_is_exactly_hermitian():
+    # each drive is a real multiple of the exactly Hermitian Sx and Sy, and
+    # the coupling a real multiple of Sz Sz, so entry (j, i) is the exact
+    # conjugate of entry (i, j) at every magnitude a finite input can take
+    rng = np.random.default_rng(7)
+
+    def magnitude():
+        return rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, 307.0)
+
+    for _ in range(2000):
+        ham = HamiltonianSpec(
+            layout=TWO,
+            drives={
+                "NV": DriveTerm(rabi=magnitude(), phase=rng.uniform(-10.0, 10.0)),
+                "Xe": DriveTerm(rabi=magnitude(), phase=rng.uniform(-10.0, 10.0)),
+            },
+            coupling_hz=magnitude(),
+        )
+        h = ham.assemble()
+        assert np.array_equal(h, h.conj().T), ham
 
 
 def test_assemble_builds_the_coupling_operator_once(monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from entangle_sense.analysis import F_HAT_ECHO, precession_rate
-from entangle_sense.dynamics import expm_hermitian, optical_pump
+from entangle_sense.dynamics import DriveTerm, HamiltonianSpec, expm_hermitian, optical_pump
 from entangle_sense.protocols import (
     GateParams,
     NuclearFactor,
@@ -45,9 +45,36 @@ def _ket(i):
 
 
 def test_phase_recipes_identified_numerically():
-    recipes = verify_phase_recipes(58e3)
+    recipes = verify_phase_recipes()
     assert set(recipes) == {"zq", "dq"}
     assert recipes["zq"] != recipes["dq"]
+
+
+def _recipes_at(d_hz):
+    """Which relative drive phase realizes which block, propagated at coupling d_hz."""
+    omega = protocols.RABI_OVER_COUPLING * 2.0 * np.pi * d_hz
+    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    found = {}
+    for rel_phase in (0.0, np.pi):
+        ham = HamiltonianSpec(
+            layout=TWO_SPIN_LAYOUT,
+            drives={"NV": DriveTerm(rabi=omega), "Xe": DriveTerm(rabi=omega, phase=rel_phase)},
+            coupling_hz=d_hz,
+        )
+        u = expm_hermitian(ham.assemble(), 1.0 / (2.0 * d_hz))
+        if abs(np.kron(minus, plus) @ u @ np.kron(plus, minus)) ** 2 > 0.95:
+            found["zq"] = rel_phase
+        if abs(np.kron(minus, minus) @ u @ np.kron(plus, plus)) ** 2 > 0.95:
+            found["dq"] = rel_phase
+    return found
+
+
+@pytest.mark.parametrize("d_hz", [1.0, 58e3, 1e9])
+def test_phase_recipes_do_not_depend_on_the_coupling(d_hz):
+    # the recipe check runs once, at one coupling, for every coupling a
+    # config may set
+    assert _recipes_at(d_hz) == verify_phase_recipes() == {"zq": 0.0, "dq": np.pi}
 
 
 def test_hhcp_swap_recipe_swaps_populations():
