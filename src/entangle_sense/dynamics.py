@@ -5,7 +5,8 @@ carriers (rotating-wave approximation): drive terms are static and the
 dipolar coupling enters through its secular ZZ part, so every
 Hamiltonian is time-independent.  Field noise enters only in the Monte
 Carlo propagator, as a fluctuating common Sz term on the electronic
-spins.
+spins; it models pure dephasing, so it refuses drives and gives each
+noise trajectory its evolution in closed form, as one phase per level.
 
 Coupling convention: the exchange rate d (Hz) is defined as the observed
 dressed-frame flip-flop rate, so the assembled ZZ coefficient is
@@ -16,7 +17,7 @@ which puts the full population transfer at t = 1/(2*d).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -102,10 +103,10 @@ class OUNoiseModel:
     trajectories: int = 100
 
     def __post_init__(self) -> None:
-        if self.sigma_b_gauss < 0:
-            raise ValueError("sigma_b must be >= 0")
-        if self.tau_c_s <= 0:
-            raise ValueError("tau_c must be positive")
+        if not (np.isfinite(self.sigma_b_gauss) and self.sigma_b_gauss >= 0):
+            raise ValueError("sigma_b must be finite and >= 0")
+        if not (np.isfinite(self.tau_c_s) and self.tau_c_s > 0):
+            raise ValueError("tau_c must be finite and positive")
         if self.trajectories < 1:
             raise ValueError("need at least one trajectory")
 
@@ -179,17 +180,18 @@ def driven_decay(mat: np.ndarray, t1rho_s: float, t: float, block: str) -> np.nd
     return f * mat + (1.0 - f) * collapsed
 
 
-def ou_trajectory(noise: OUNoiseModel, n_steps: int, dt: float, rng: np.random.Generator) -> np.ndarray:
-    """Exactly discretized stationary OU path, one value per sub-step."""
+def ou_trajectory(noise: OUNoiseModel, n_steps: int, dt: float,
+                  rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Exactly discretized stationary OU paths, one row per generator, one value per sub-step."""
     decay = np.exp(-dt / noise.tau_c_s)
     diffuse = noise.sigma_b_gauss * np.sqrt(1.0 - decay**2)
-    z = rng.standard_normal(n_steps + 1)
-    x = np.empty(n_steps)
+    z = np.stack([rng.standard_normal(n_steps + 1) for rng in rngs], axis=1)
+    x = np.empty((n_steps, len(rngs)))
     x_cur = noise.sigma_b_gauss * z[0]
     for k in range(n_steps):
         x[k] = x_cur
         x_cur = x_cur * decay + diffuse * z[k + 1]
-    return x
+    return x.T
 
 
 def ou_phase_variance(noise: OUNoiseModel, t: float) -> float:
@@ -210,25 +212,23 @@ def monte_carlo_propagate(
 
     The noise enters as a fluctuating common Sz field on the electronic
     spins.  Per-trajectory seeds derive deterministically from the master
-    seed, so results do not depend on evaluation order.  Each time step
-    evolves the whole (trajectories, 4, 4) stack at once, through one
-    stacked expm_hermitian call.
+    seed, so results do not depend on evaluation order.  Pure dephasing:
+    the Hamiltonian must be diagonal (no drives), so trajectory n evolves
+    by diag(exp(-i*theta_n)), theta_n = levels*t + the field's phase on Sz_NV + Sz_Xe.
     """
     if t < 0:
         raise ValueError("propagation time must be >= 0")
-    if noise.sigma_b_gauss == 0.0 or t == 0.0:
-        return propagate(state, ham, t)
+    h0 = ham.assemble()
+    levels = np.diag(h0).real
+    if not np.array_equal(h0, np.diag(levels)):
+        raise ValueError("monte_carlo_propagate models pure dephasing; drives must be zero")
+    if t == 0.0:
+        return state
     n_steps = max(10, int(np.ceil(t / (noise.tau_c_s / 10.0))))
     dt = t / n_steps
-    h0 = ham.assemble()
-    sz_sum = SZ["NV"] + SZ["Xe"]
-    paths = np.stack([
-        ou_trajectory(noise, n_steps, dt, np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(traj,))))
-        for traj in range(noise.trajectories)
-    ])
-    mats = state.matrix
-    for k in range(n_steps):
-        h = h0 + GAMMA_E * paths[:, k, None, None] * sz_sum
-        mats = _evolve(mats, expm_hermitian(h, dt))
-    return DensityState(mats.sum(axis=0) / noise.trajectories)
+    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(traj,)))
+            for traj in range(noise.trajectories)]
+    field_integral = ou_trajectory(noise, n_steps, dt, rngs).sum(axis=1) * dt
+    theta = levels * t + GAMMA_E * field_integral[:, None] * np.diag(SZ["NV"] + SZ["Xe"]).real
+    ph = np.exp(-1.0j * theta)
+    return DensityState(state.matrix * (ph.T @ ph.conj()) / noise.trajectories)

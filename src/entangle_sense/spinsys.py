@@ -550,8 +550,11 @@ def validate_density_matrix(mat: np.ndarray) -> None:
 
     mat is one (d, d) matrix or a (..., d, d) stack; each invariant is
     checked for the whole stack at once (one eigvalsh call), and the
-    error reports the worst matrix.
+    error reports the worst matrix.  Any non-finite entry is refused first:
+    every comparison with NaN is False, and eigvalsh cannot converge on it.
     """
+    if not np.isfinite(mat).all():
+        raise StateError("matrix has a non-finite entry")
     tr = np.trace(mat, axis1=-2, axis2=-1)
     tr_dev = np.abs(tr - 1.0)
     if np.max(tr_dev, initial=0.0) > TRACE_TOL:

@@ -258,10 +258,10 @@ def test_ou_phase_variance_against_trajectories():
     n_traj, n_steps = noise.trajectories, 240
     rng = np.random.default_rng(13)
     dt = t / n_steps
-    phases = np.empty(n_traj)
-    for j in range(n_traj):
-        x = ou_trajectory(noise, n_steps, dt, rng)
-        phases[j] = GAMMA_E * np.sum(x) * dt
+    # one generator listed n_traj times: row j holds its j-th draw, the
+    # path that the j-th single-path call on it would give
+    paths = ou_trajectory(noise, n_steps, dt, [rng] * n_traj)
+    phases = GAMMA_E * np.sum(paths, axis=1) * dt
     mc = np.mean(np.exp(1j * phases)).real
     var = ou_phase_variance(noise, t)
     analytic = np.exp(-var / 2.0)
@@ -313,11 +313,12 @@ def _driven_pair():
 
 def test_ou_trajectory_matches_scalar_draws():
     noise = OUNoiseModel(sigma_b_gauss=0.01, tau_c_s=4e-6)
-    for seed in range(5):
-        got = ou_trajectory(noise, 33, 0.3e-6, np.random.default_rng(seed))
-        ref = _reference_ou_path(noise, 33, 0.3e-6, np.random.default_rng(seed))
-        assert got.shape == (33,)
-        assert np.array_equal(got, ref)
+    for n_rngs in (1, 5):
+        got = ou_trajectory(noise, 33, 0.3e-6, [np.random.default_rng(seed) for seed in range(n_rngs)])
+        assert got.shape == (n_rngs, 33)
+        for seed in range(n_rngs):
+            ref = _reference_ou_path(noise, 33, 0.3e-6, np.random.default_rng(seed))
+            assert np.array_equal(got[seed], ref)
 
 
 def test_expm_hermitian_stack_matches_single_calls():
@@ -340,26 +341,33 @@ def test_expm_hermitian_stack_matches_single_calls():
 
 
 def test_monte_carlo_matches_per_trajectory_reference():
-    rho = _random_state(11)
-    ham = _driven_pair()
-    noise = OUNoiseModel(sigma_b_gauss=0.01, tau_c_s=4e-6, trajectories=16)
-    t, seed = 13e-6, 5
-    out = monte_carlo_propagate(rho, ham, t, noise, seed)
-    # one trajectory at a time, one 4x4 exponential per step
-    n_steps = max(10, int(np.ceil(t / (noise.tau_c_s / 10.0))))
-    dt = t / n_steps
-    h0 = ham.assemble()
+    # the closed form against the stepwise product of one 4x4 exponential
+    # per step, one trajectory at a time
+    draw = np.random.default_rng(17)
     sz_sum = np.kron(SZ, np.eye(2)) + np.kron(np.eye(2), SZ)
-    acc = np.zeros_like(rho.matrix)
-    for traj in range(noise.trajectories):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(traj,)))
-        path = _reference_ou_path(noise, n_steps, dt, rng)
-        mat = rho.matrix
-        for k in range(n_steps):
-            u = _reference_expm(h0 + GAMMA_E * path[k] * sz_sum, dt)
-            mat = u @ mat @ u.conj().T
-        acc = acc + mat
-    assert np.array_equal(out.matrix, acc / noise.trajectories)
+    for case in range(6):
+        rho = _random_state(11 + case)
+        ham = HamiltonianSpec(layout=TWO, coupling_hz=draw.uniform(-1e6, 1e6))
+        noise = OUNoiseModel(
+            sigma_b_gauss=draw.uniform(0.0, 0.02),
+            tau_c_s=draw.uniform(1e-6, 20e-6),
+            trajectories=int(draw.integers(1, 33)),
+        )
+        t, seed = draw.uniform(1e-6, 50e-6), int(draw.integers(2**32))
+        out = monte_carlo_propagate(rho, ham, t, noise, seed)
+        n_steps = max(10, int(np.ceil(t / (noise.tau_c_s / 10.0))))
+        dt = t / n_steps
+        h0 = ham.assemble()
+        acc = np.zeros_like(rho.matrix)
+        for traj in range(noise.trajectories):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(traj,)))
+            path = _reference_ou_path(noise, n_steps, dt, rng)
+            mat = rho.matrix
+            for k in range(n_steps):
+                u = _reference_expm(h0 + GAMMA_E * path[k] * sz_sum, dt)
+                mat = u @ mat @ u.conj().T
+            acc = acc + mat
+        assert np.max(np.abs(out.matrix - acc / noise.trajectories)) < 1e-13, case
 
 
 def test_monte_carlo_rejects_layout_mismatch_with_noise():
@@ -377,8 +385,38 @@ def test_monte_carlo_rejects_layout_mismatch_with_noise():
 def test_monte_carlo_zero_time_returns_state_unchanged():
     rho = _random_state(12)
     noise = OUNoiseModel(sigma_b_gauss=2e-3, tau_c_s=5e-6, trajectories=8)
-    out = monte_carlo_propagate(rho, _driven_pair(), 0.0, noise, seed=0)
+    ham = HamiltonianSpec(layout=TWO, coupling_hz=58e3)
+    out = monte_carlo_propagate(rho, ham, 0.0, noise, seed=0)
     assert np.array_equal(out.matrix, rho.matrix)
+
+
+def test_monte_carlo_refuses_a_driven_hamiltonian():
+    noise = OUNoiseModel(sigma_b_gauss=2e-3, tau_c_s=5e-6, trajectories=8)
+    rho = _random_state(12)
+    for ham in (_driven_pair(), HamiltonianSpec(layout=TWO, drives={"Xe": DriveTerm(rabi=1e-3)})):
+        for t in (0.0, 10e-6):
+            with pytest.raises(ValueError, match="pure dephasing"):
+                monte_carlo_propagate(rho, ham, t, noise, seed=0)
+
+
+def test_monte_carlo_accepts_a_zero_drive():
+    noise = OUNoiseModel(sigma_b_gauss=2e-3, tau_c_s=5e-6, trajectories=8)
+    rho = _random_state(13)
+    undriven = HamiltonianSpec(layout=TWO, coupling_hz=58e3)
+    zero_drive = HamiltonianSpec(
+        layout=TWO, drives={"NV": DriveTerm(rabi=0.0, phase=0.7), "Xe": DriveTerm(rabi=0.0)}, coupling_hz=58e3
+    )
+    out = monte_carlo_propagate(rho, zero_drive, 10e-6, noise, seed=3)
+    assert np.array_equal(out.matrix, monte_carlo_propagate(rho, undriven, 10e-6, noise, seed=3).matrix)
+
+
+@pytest.mark.parametrize(
+    "sigma_b, tau_c, message",
+    [(np.nan, 5e-6, "sigma_b"), (np.inf, 5e-6, "sigma_b"), (2e-3, np.nan, "tau_c"), (2e-3, np.inf, "tau_c")],
+)
+def test_ou_noise_model_refuses_non_finite_parameters(sigma_b, tau_c, message):
+    with pytest.raises(ValueError, match=message):
+        OUNoiseModel(sigma_b, tau_c)
 
 
 def test_hamiltonian_hermitian():

@@ -342,6 +342,22 @@ def test_validate_stack_flags_one_bad_matrix():
             DensityState(stack.reshape(5, 10, 4, 4))
 
 
+def test_non_finite_state_is_refused():
+    # a NaN fails no comparison, so the trace, Hermiticity and positivity
+    # checks would pass it; an all-NaN matrix would reach eigvalsh
+    with pytest.raises(StateError, match="non-finite"):
+        DensityState(np.diag([0.25, 0.25, 0.25, np.nan]))
+    with pytest.raises(StateError, match="non-finite"):
+        DensityState(np.full((4, 4), np.nan))
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        stack = _random_states(50)
+        stack[37, 1, 2] = bad
+        with pytest.raises(StateError, match="non-finite"):
+            validate_density_matrix(stack)
+        with pytest.raises(StateError, match="non-finite"):
+            DensityState(stack.reshape(5, 10, 4, 4))
+
+
 def test_stacked_state_reads_per_element():
     mats = _random_states(6, seed=1)
     stack = DensityState(mats)
