@@ -15,6 +15,8 @@ amplitude-slope ratio, bounded by 2.
 from __future__ import annotations
 
 import csv
+import io
+import os
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
@@ -540,12 +542,28 @@ def required_amplitude_ratio_scale(
 # Export helpers
 
 
+def _rewrite(path: str | os.PathLike, text: str) -> None:
+    """Write text to path over the file's old bytes, then cut it at the end.
+
+    Opening without O_TRUNC and truncating last is several times cheaper
+    than open(path, "w") where freeing a file's blocks is slow (ext4 with
+    `discard`): a rewrite of equal length frees nothing.  A symlink is
+    written through.  An interrupted write can leave the new bytes
+    followed by the tail of the previous file.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(text.encode())
+        fh.truncate()
+
+
 def write_curve_csv(path: str, columns: Mapping[str, Sequence[float]]) -> None:
     """CSV with `name[unit]` headers, '.' decimals, LF endings, %.12g floats.
 
     `csv.writer` writes the header, so names are quoted as it quotes
     them; the body is one "%.12g,...\n" row format, repeated once per row
-    and applied to all values in one operation.
+    and applied to all values in one operation.  The file is rewritten in
+    place (see `_rewrite`).
     """
     names = list(columns)
     arrays = [np.asarray(columns[name], dtype=float) for name in names]
@@ -553,6 +571,6 @@ def write_curve_csv(path: str, columns: Mapping[str, Sequence[float]]) -> None:
         raise ValueError("all CSV columns must have equal length")
     row_format = ",".join(["%.12g"] * len(arrays)) + "\n"
     body = (row_format * len(arrays[0])) % tuple(np.column_stack(arrays).ravel().tolist())
-    with open(path, "w", newline="\n") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(names)
-        fh.write(body)
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(names)
+    _rewrite(path, header.getvalue() + body)

@@ -9,7 +9,6 @@ and reports each violation with a dotted parameter path (e.g.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 from dataclasses import dataclass
@@ -113,7 +112,13 @@ class ScenarioConfig:
 
 
 def _merge(base: dict, override: dict, path: str, diagnostics: list[str]) -> dict:
-    out = copy.deepcopy(base)
+    """base with override merged in, every dict of it new.
+
+    Every default leaf is an immutable scalar, so one copy per level is a
+    full copy: a resolved config shares no dict with DEFAULTS or with
+    another resolved config.
+    """
+    out = dict(base)
     for key, value in override.items():
         here = f"{path}.{key}" if path else key
         if key not in base:
@@ -126,6 +131,9 @@ def _merge(base: dict, override: dict, path: str, diagnostics: list[str]) -> dic
             out[key] = _merge(base[key], value, here, diagnostics)
         else:
             out[key] = value
+    for key, value in base.items():
+        if isinstance(value, dict) and out[key] is value:
+            out[key] = _merge(value, {}, path, diagnostics)
     return out
 
 
@@ -141,7 +149,8 @@ def _check_number(data: dict, path: str, low: float, high: float, diagnostics: l
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         diagnostics.append(f"{path}: expected a number, got {type(node).__name__}")
         return None
-    if integer and int(node) != node:
+    # a non-finite value fails the range check below, which names it
+    if integer and isinstance(node, float) and np.isfinite(node) and not node.is_integer():
         diagnostics.append(f"{path}: expected an integer")
         return None
     above_low = low < node if low_open else low <= node
@@ -209,7 +218,7 @@ def resolve(
             raise ConfigError(["config: top level must be a JSON object"])
         data = _merge(DEFAULTS, override, "", diagnostics)
     else:
-        data = copy.deepcopy(DEFAULTS)
+        data = _merge(DEFAULTS, {}, "", diagnostics)
     if scenario is not None:
         data["scenario"] = scenario
     if seed is not None:

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .spinsys import GAMMA_E, SX, SY, SZ, SZ_SZ, DensityState, SpinLayout, pair_operator
+from .spinsys import GAMMA_E, P0_NV, SX, SY, SZ, SZ_SZ, DensityState, SpinLayout, pair_operator
 
 # basis indices of the two exchange subspaces of the (NV, Xe) pair
 EXCHANGE_BLOCKS = {"zq": (1, 2), "dq": (0, 3)}  # |01>, |10> and |00>, |11>
@@ -138,18 +138,25 @@ def propagate(state: DensityState, ham: HamiltonianSpec, t: float) -> DensitySta
     return DensityState(_evolve(state.matrix, expm_hermitian(ham.assemble(), t)))
 
 
+# the optical pump's Kraus operators before their weights: the identity,
+# then |0><0| and |0><1| on the NV, the Xe spin untouched
+PUMP_KRAUS = (
+    pair_operator(np.eye(2, dtype=complex), np.eye(2, dtype=complex)),
+    P0_NV,
+    pair_operator(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), np.eye(2, dtype=complex)),
+)
+
+
 def optical_pump(state: DensityState, efficiency: float) -> DensityState:
-    """Kraus channel resetting the NV qubit toward |0>, the Xe spin untouched."""
+    """Kraus channel resetting the NV qubit toward |0>, the Xe spin untouched.
+
+    The Kraus operators are PUMP_KRAUS weighted by sqrt(1 - efficiency),
+    sqrt(efficiency) and sqrt(efficiency).
+    """
     if not 0.0 <= efficiency <= 1.0:
         raise ValueError("pump efficiency must be in [0, 1]")
-    kraus = [np.sqrt(1.0 - efficiency) * np.eye(2, dtype=complex)]
-    reset0 = np.zeros((2, 2), dtype=complex)
-    reset0[0, 0] = 1.0
-    reset1 = np.zeros((2, 2), dtype=complex)
-    reset1[0, 1] = 1.0
-    kraus += [np.sqrt(efficiency) * reset0, np.sqrt(efficiency) * reset1]
-    identity = np.eye(2, dtype=complex)
-    return DensityState(sum(_evolve(state.matrix, pair_operator(k, identity)) for k in kraus))
+    weights = np.sqrt((1.0 - efficiency, efficiency, efficiency))
+    return DensityState(sum(_evolve(state.matrix, w * k) for w, k in zip(weights, PUMP_KRAUS)))
 
 
 def driven_decay(mat: np.ndarray, t1rho_s: float, t: float, block: str) -> np.ndarray:

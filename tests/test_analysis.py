@@ -8,6 +8,7 @@ from entangle_sense.analysis import (
     FitError,
     MagnetometryCurve,
     TimingBudget,
+    _rewrite,
     check_jacobian,
     fit_sinusoid,
     fit_stretched_exp,
@@ -523,3 +524,25 @@ def test_write_curve_csv(tmp_path):
     _reference_csv(str(reference), columns)
     assert ours.read_bytes() == reference.read_bytes()
     assert ours.read_text().splitlines()[0] == '"a,b[s]","say ""hi""[1]",plain'
+
+
+def test_rewrite_creates_a_missing_file(tmp_path):
+    path = tmp_path / "new.json"
+    _rewrite(path, "{}\n")
+    assert path.read_bytes() == b"{}\n"
+
+
+@pytest.mark.parametrize("old", ["x" * 5000, "ab"], ids=["old_longer", "old_shorter"])
+def test_rewrite_replaces_every_old_byte(old, tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text(old)
+    _rewrite(str(path), "new,text\n1,2\n")
+    assert path.read_bytes() == b"new,text\n1,2\n"
+
+
+def test_rewrite_writes_through_a_symlink(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("previous contents, longer than the new ones")
+    link.symlink_to(target)
+    _rewrite(link, "new")
+    assert link.is_symlink() and target.read_text() == "new"

@@ -188,6 +188,45 @@ def test_defaults_pass_validation():
     assert validate(data) == []
 
 
+def _dicts(node):
+    """Every dict in a nested config, the top one included."""
+    if not isinstance(node, dict):
+        return []
+    return [node] + [d for value in node.values() for d in _dicts(value)]
+
+
+MERGED_CONFIG = '{"pump": {"efficiency": 0.5}, "run": {"seed": 3}}'
+
+
+@pytest.mark.parametrize("config_text", [None, MERGED_CONFIG], ids=["defaults", "merged"])
+def test_resolved_configs_share_no_dict(config_text):
+    defaults_before = json.dumps(DEFAULTS, sort_keys=True)
+    first = resolve(scenario="fig2a", config_text=config_text)
+    second = resolve(scenario="fig2a", config_text=config_text)
+    second_before = json.dumps(second.data, sort_keys=True)
+    ids = [{id(d) for d in _dicts(data)} for data in (DEFAULTS, first.data, second.data)]
+    assert not ids[0] & ids[1] and not ids[0] & ids[2] and not ids[1] & ids[2]
+    for d in _dicts(first.data):
+        for key in list(d):
+            d[key] = "mutated"
+    assert json.dumps(DEFAULTS, sort_keys=True) == defaults_before
+    assert json.dumps(second.data, sort_keys=True) == second_before
+
+
+# content hashes (sha256 of the sorted, compact JSON) of the resolved fig2a
+# config with the defaults and with MERGED_CONFIG, as deep copies gave them
+PINNED_CONFIG_HASHES = {
+    None: "2ef9676995ef4871853c2cd176d8911e2aad9f5427b26e9487a36a56d53341e1",
+    MERGED_CONFIG: "d6f27e2299fd862f5376642649fea18c00f4aa80aaa6392c6e55d238dbab4788",
+}
+
+
+@pytest.mark.parametrize("config_text", [None, MERGED_CONFIG], ids=["defaults", "merged"])
+def test_resolved_config_json_is_unchanged(config_text):
+    cfg = resolve(scenario="fig2a", config_text=config_text)
+    assert cfg.content_hash() == PINNED_CONFIG_HASHES[config_text]
+
+
 DELETE = object()
 
 # (dotted keys set on the defaults, or deleted, and the exact diagnostics),
@@ -203,6 +242,25 @@ VALIDATE_CASES = {
     "non-integer": ({"sweep.d_points": 2.5}, ["sweep.d_points: expected an integer"]),
     "integer bound": ({"readout.m_max": -1}, ["readout.m_max: value -1 outside [0, 1000]"]),
     "bool": ({"run.seed": True}, ["run.seed: expected a number, got bool"]),
+    # non-finite values of integer keys are named by the range check, as for float keys
+    "nan integer": ({"run.seed": float("nan")}, ["run.seed: value nan outside [0, 9223372036854775807]"]),
+    "infinite integers": (
+        {"nuclear.transitions": float("inf"), "readout.m_max": float("inf"), "sweep.m_max": float("-inf")},
+        [
+            "nuclear.transitions: value inf outside [1, 2]",
+            "readout.m_max: value inf outside [0, 1000]",
+            "sweep.m_max: value -inf outside [0, 1000]",
+        ],
+    ),
+    "non-finite sweep points": (
+        {"sweep.d_points": float("nan"), "sweep.ratio_points": float("inf"), "run.trajectories": float("nan")},
+        [
+            "sweep.d_points: value nan outside [2, 1000]",
+            "sweep.ratio_points: value inf outside [2, 1000]",
+            "run.trajectories: value nan outside [1, 1000000000]",
+        ],
+    ),
+    "huge integer": ({"run.seed": 10**400}, [f"run.seed: value {10**400} outside [0, 9223372036854775807]"]),
     "missing key": ({"coupling.t1rho_s": DELETE}, ["coupling.t1rho_s: required parameter is missing"]),
     "ladder sum": (
         {"readout.amplitude_sum": 11.0},
@@ -242,23 +300,61 @@ def test_validate_messages(case):
     assert validate(data) == expected
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_non_utf8_config_exits_2(command, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"scenario": "fig2a\xff"}')
+    argv = {"run": ["run", "--config", str(cfg), "--out", str(tmp_path)], "validate": ["validate", str(cfg)]}
+    assert _run(argv[command]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot read config: ")
+    assert captured.out == ""
+    assert not (tmp_path / "fig2a.csv").exists()
+
+
 # sha256 over the non-meta CSV/JSON outputs of all ten scenarios at seed 0
 # with the default config, in file-name order (the digest in ROADMAP.md)
 SEED0_DIGEST = "d99da458023874264d707c36656d0f1ad1db3045e2988f71066c2ae1daa0ec5f"
 
 
+def _outputs_digest(out):
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        if path.suffix in (".csv", ".json") and not path.name.endswith(".meta.json"):
+            h.update(path.read_bytes())
+    return h.hexdigest()
+
+
 def test_seed0_outputs_match_digest(tmp_path):
     for scenario in SCENARIOS:
         assert _run(["run", "--scenario", scenario, "--out", str(tmp_path), "--quiet"]) == 0
-    h = hashlib.sha256()
-    for path in sorted(tmp_path.iterdir()):
-        if path.suffix in (".csv", ".json") and not path.name.endswith(".meta.json"):
-            h.update(path.read_bytes())
-    assert h.hexdigest() == SEED0_DIGEST
+    assert _outputs_digest(tmp_path) == SEED0_DIGEST
 
 
-# configs that passed validation once and then crashed the scenario that reads them
+def test_outputs_rewritten_over_a_previous_run_match_digest(tmp_path):
+    # outputs are rewritten in place: the seed-7 run on a finer sweep leaves
+    # files that differ in length from the seed-0 ones, some of them longer,
+    # and each must be cut at its new end
+    out = tmp_path / "out"
+    cfg = tmp_path / "fine.json"
+    cfg.write_text(json.dumps({"sweep": {"d_points": 60, "ratio_points": 50}}))
+    for scenario in SCENARIOS:
+        argv = ["run", "--scenario", scenario, "--config", str(cfg), "--seed", "7", "--out", str(out)]
+        assert _run(argv + ["--quiet"]) == 0
+    first = {path.name: path.stat().st_size for path in out.iterdir()}
+    for scenario in SCENARIOS:
+        assert _run(["run", "--scenario", scenario, "--out", str(out), "--quiet"]) == 0
+    assert any(size > (out / name).stat().st_size for name, size in first.items())
+    assert _outputs_digest(out) == SEED0_DIGEST
+
+
+# configs that once passed validation and then crashed the scenario that
+# reads them, or crashed validation itself (non-finite integer keys)
 CRASHING_CONFIGS = {
+    "nan_seed": ("fig2a", {"run": {"seed": float("nan")}}, "run.seed"),
+    "infinite_readout_m_max": ("fig2d", {"readout": {"m_max": float("inf")}}, "readout.m_max"),
+    "infinite_trajectories": ("fig2b", {"run": {"trajectories": float("inf")}}, "run.trajectories"),
     "d_min_above_d_max": ("fig4c", {"sweep": {"d_min_hz": 2.0e5}}, "sweep.d_min_hz"),
     "ratio_min_above_ratio_max": ("fig4c", {"sweep": {"ratio_min": 2.0}}, "sweep.ratio_min"),
     "zero_gamma2_nv": ("fig4a", {"decoherence": {"gamma2_nv_hz": 0}}, "decoherence.gamma2_nv_hz"),

@@ -171,6 +171,36 @@ def test_optical_pump_leaves_x_untouched():
     assert x_pol == pytest.approx(0.62, abs=1e-12)
 
 
+def _reference_pump(mat, efficiency):
+    """The pump with its Kraus operators lifted per call by explicit np.kron."""
+    seed, identity = np.array([[1.0 + 0.0j]]), np.eye(2, dtype=complex)
+    reset0, reset1 = np.zeros((2, 2), dtype=complex), np.zeros((2, 2), dtype=complex)
+    reset0[0, 0] = reset1[0, 1] = 1.0
+    kraus = [np.sqrt(1.0 - efficiency) * identity,
+             np.sqrt(efficiency) * reset0, np.sqrt(efficiency) * reset1]
+    lifted = [np.kron(np.kron(seed, k), identity) for k in kraus]
+    return sum(k @ mat @ k.conj().T for k in lifted)
+
+
+def test_optical_pump_matches_kron_reference_bit_for_bit():
+    rng = np.random.default_rng(11)
+    efficiencies = [0.0, 0.5, 1.0, 1e-300, 1.0 - 2**-53, *rng.random(45)]
+    for seed in range(200):
+        rho = _random_state(seed)
+        efficiency = efficiencies[seed % len(efficiencies)]
+        ours = optical_pump(rho, efficiency).matrix
+        assert ours.tobytes() == _reference_pump(rho.matrix, efficiency).tobytes(), (seed, efficiency)
+
+
+def test_pump_kraus_constants_are_read_only():
+    assert len(dynamics.PUMP_KRAUS) == 3
+    for k in dynamics.PUMP_KRAUS:
+        assert not k.flags.writeable
+        with pytest.raises(ValueError):
+            k[0, 0] = 2.0
+    assert np.array_equal(dynamics.PUMP_KRAUS[0], np.eye(4))
+
+
 def test_apply_envelope_zero_time_identity():
     # scaling a state's coherences by the envelope at t = 0 leaves them unchanged
     rho = _random_state(8)
