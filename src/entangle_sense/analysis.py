@@ -501,17 +501,19 @@ def sweep_gain_map(
     return SweepGrid(d_axis_hz=d_axis, ratio_axis=ratios, values=values)
 
 
-def unity_crossing(x: np.ndarray, y: np.ndarray) -> float | None:
-    """First x where y crosses 1 from above, by linear interpolation.
+def unity_crossing(x: np.ndarray, y: np.ndarray, rising: bool = False) -> float | None:
+    """First x where y crosses 1, by linear interpolation.
 
-    None when y does not start above 1 or never falls below it on this grid.
+    y crosses from above (to y < 1), or from below (to y >= 1) when
+    ``rising``.  None when y starts on the far side of 1 or never crosses
+    it on this grid: the crossing, if any, lies off the grid.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
-    below = np.nonzero(y < 1.0)[0]
-    if len(below) == 0 or below[0] == 0:
+    past = np.nonzero(y >= 1.0 if rising else y < 1.0)[0]
+    if len(past) == 0 or past[0] == 0:
         return None
-    k = below[0]
+    k = past[0]
     x0, x1, y0, y1 = x[k - 1], x[k], y[k - 1], y[k]
     return float(x0 + (1.0 - y0) * (x1 - x0) / (y1 - y0))
 

@@ -63,9 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output directory (default: $ENTANGLE_SENSE_OUT or the working directory)",
     )
     run_p.add_argument("--seed", type=int, default=None, help="override rng seed")
-    run_p.add_argument(
-        "--trajectories", type=int, default=None, help="override simulated shot count"
-    )
     run_p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     val_p = sub.add_parser("validate", help="check a config file and list every violation")
@@ -81,12 +78,7 @@ def _run(args: argparse.Namespace) -> int:
         if config_text is None:
             return EXIT_CONFIG
     try:
-        cfg = resolve(
-            scenario=args.scenario,
-            config_text=config_text,
-            seed=args.seed,
-            trajectories=args.trajectories,
-        )
+        cfg = resolve(scenario=args.scenario, config_text=config_text, seed=args.seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

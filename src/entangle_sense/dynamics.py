@@ -21,10 +21,18 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .spinsys import GAMMA_E, P0_NV, SX, SY, SZ, SZ_SZ, DensityState, SpinLayout, pair_operator
-
-# basis indices of the two exchange subspaces of the (NV, Xe) pair
-EXCHANGE_BLOCKS = {"zq": (1, 2), "dq": (0, 3)}  # |01>, |10> and |00>, |11>
+from .spinsys import (
+    EXCHANGE_BLOCKS,
+    GAMMA_E,
+    P0_NV,
+    SX,
+    SY,
+    SZ,
+    SZ_SZ,
+    DensityState,
+    SpinLayout,
+    pair_operator,
+)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,10 @@ from functools import cache, lru_cache
 import numpy as np
 
 from .spinsys import (
+    EXCHANGE_BLOCKS,
+    MINUS,
     P0_NV,
+    PLUS,
     SZ,
     TWO_SPIN_LAYOUT,
     DensityState,
@@ -34,7 +37,6 @@ from .spinsys import (
     polarized_state,
 )
 from .dynamics import (
-    EXCHANGE_BLOCKS,
     DriveTerm,
     HamiltonianSpec,
     driven_decay,
@@ -144,6 +146,15 @@ def apply_exchange_gate(
     return DensityState(mat)
 
 
+def matched_drive(d_hz: float, omega: float, rel_phase: float) -> HamiltonianSpec:
+    """The coupled pair under equal drives omega, Xe's at rel_phase to NV's."""
+    return HamiltonianSpec(
+        layout=TWO_SPIN_LAYOUT,
+        drives={"NV": DriveTerm(rabi=omega), "Xe": DriveTerm(rabi=omega, phase=rel_phase)},
+        coupling_hz=d_hz,
+    )
+
+
 @cache
 def verify_phase_recipes() -> dict[str, float]:
     """Determine numerically which relative drive phase drives which block.
@@ -160,18 +171,11 @@ def verify_phase_recipes() -> dict[str, float]:
     d_hz = 1.0
     omega = RABI_OVER_COUPLING * 2.0 * np.pi * d_hz
     t_swap = 1.0 / (2.0 * d_hz)
-    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    zq_in, zq_out = np.kron(PLUS, MINUS), np.kron(MINUS, PLUS)
+    dq_in, dq_out = np.kron(PLUS, PLUS), np.kron(MINUS, MINUS)
     out: dict[str, float] = {}
     for rel_phase in (0.0, np.pi):
-        ham = HamiltonianSpec(
-            layout=TWO_SPIN_LAYOUT,
-            drives={"NV": DriveTerm(rabi=omega), "Xe": DriveTerm(rabi=omega, phase=rel_phase)},
-            coupling_hz=d_hz,
-        )
-        u = expm_hermitian(ham.assemble(), t_swap)
-        zq_in, zq_out = np.kron(plus, minus), np.kron(minus, plus)
-        dq_in, dq_out = np.kron(plus, plus), np.kron(minus, minus)
+        u = expm_hermitian(matched_drive(d_hz, omega, rel_phase).assemble(), t_swap)
         p_zq = abs(zq_out.conj() @ u @ zq_in) ** 2
         p_dq = abs(dq_out.conj() @ u @ dq_in) ** 2
         if p_zq > 0.95 and p_dq < 0.05:

@@ -29,19 +29,14 @@ from .analysis import (
     unity_crossing,
 )
 from .config import ScenarioConfig
-from .dynamics import (
-    DecoherenceEnvelope,
-    DriveTerm,
-    HamiltonianSpec,
-    expm_hermitian,
-    optical_pump,
-)
+from .dynamics import DecoherenceEnvelope, expm_hermitian, optical_pump
 from .protocols import (
     RABI_OVER_COUPLING,
     GateParams,
     NuclearFactor,
     calibrate_gate_error,
     dominant_frequency,
+    matched_drive,
     modulated_disentangle_scan,
     nv_polarization,
     polarization_transfer,
@@ -49,7 +44,15 @@ from .protocols import (
     verify_phase_recipes,
 )
 from .readout import calibrate_ladder, geometric_ratio_for_gain, snr_gain, stretched_ladder
-from .spinsys import SX, TWO_SPIN_LAYOUT, InfeasibleError, bell_coherence, polarized_state
+from .spinsys import (
+    MINUS,
+    PLUS,
+    SX,
+    TWO_SPIN_LAYOUT,
+    InfeasibleError,
+    bell_coherence,
+    polarized_state,
+)
 
 # Reconstructed per-readout amplitude ladder for the repetitive-readout
 # gain figure (normalized to the direct readout; digitized working point).
@@ -103,19 +106,11 @@ def run_fig1f(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
     """Coherent spin exchange under matched drives vs drive duration."""
     d = cfg["coupling.d_hz"]
     omega = max(cfg["coupling.rabi_rad_per_s"], RABI_OVER_COUPLING * 2.0 * np.pi * d)
-    recipes = verify_phase_recipes()
-    ham = HamiltonianSpec(
-        layout=TWO_SPIN_LAYOUT,
-        drives={"NV": DriveTerm(rabi=omega), "Xe": DriveTerm(rabi=omega, phase=recipes["zq"])},
-        coupling_hz=d,
-    )
-    h = ham.assemble()
+    h = matched_drive(d, omega, verify_phase_recipes()["zq"]).assemble()
     # the matched drives lock the spins along their drive axes, so the
     # exchanged polarization lives on Sx (the lab z populations just
     # precess at the Rabi frequency); start NV locked, X anti-locked
-    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    psi0 = np.kron(plus, minus)
+    psi0 = np.kron(PLUS, MINUS)
     rho0 = np.outer(psi0, psi0.conj())
     t_grid = np.linspace(0.0, 1.2 / d, 1201)
     u = expm_hermitian(h, t_grid)
@@ -189,7 +184,7 @@ def run_fig2b(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
     signal = modulated_disentangle_scan(rho_phi, f_nv, f_x, t_grid, params)
     sigma = _noise_sigma(cfg)
     noisy = signal + rng.normal(0.0, sigma, len(signal))
-    curve = MagnetometryCurve(t_grid, noisy, np.full_like(t_grid, max(sigma, 1e-9)), 0.0, 2)
+    curve = MagnetometryCurve(t_grid, noisy, np.full_like(t_grid, sigma), 0.0, 2)
     fit = fit_sinusoid(curve)
     amplitude = fit.parameters["amplitude"]
     columns = {
@@ -239,7 +234,7 @@ def run_fig2c(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
     for name, clean in curves.items():
         noisy = clean + rng.normal(0.0, sigma, len(clean))
         columns[f"{name}_signal[1]"] = noisy
-        fit = fit_stretched_exp(tau_grid, noisy, max(sigma, 1e-9))
+        fit = fit_stretched_exp(tau_grid, noisy, sigma)
         summary[f"{name}_fit"] = {
             "gamma2_hz": fit.parameters["gamma2_hz"],
             "gamma2_stderr_hz": fit.stderr("gamma2_hz"),
@@ -289,7 +284,7 @@ def run_fig3a(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
     clean2 = alpha2 * np.sin(nu2 * b_grid)
     noisy1 = clean1 + rng.normal(0.0, sigma, len(b_grid))
     noisy2 = clean2 + rng.normal(0.0, sigma, len(b_grid))
-    sig = np.full_like(b_grid, max(sigma, 1e-9))
+    sig = np.full_like(b_grid, sigma)
     fit1 = fit_sinusoid(MagnetometryCurve(b_grid, noisy1, sig, tau, 1))
     fit2 = fit_sinusoid(MagnetometryCurve(b_grid, noisy2, sig, tau, 2))
     rate1 = fit1.parameters["rate_rad_per_gauss"]
@@ -445,15 +440,6 @@ def run_fig4c(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
     i_exp = int(np.argmin(np.abs(ratio_axis - exp_ratio)))
     j_exp = int(np.argmin(np.abs(d_axis - d_exp)))
 
-    def crossing_d(values) -> float | None:
-        row = values[i_exp, :]
-        above = np.nonzero(row >= 1.0)[0]
-        if len(above) == 0 or above[0] == 0:
-            return float(d_axis[0]) if len(above) else None
-        k = above[0]
-        x0, x1, y0, y1 = d_axis[k - 1], d_axis[k], row[k - 1], row[k]
-        return float(x0 + (1.0 - y0) * (x1 - x0) / (y1 - y0))
-
     columns = {
         "d[Hz]": np.repeat(d_axis, len(ratio_axis)),
         "gamma2_ratio[1]": np.tile(ratio_axis, len(d_axis)),
@@ -468,7 +454,7 @@ def run_fig4c(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
             "max_gain_with_rr": float(rr[i_exp, j_exp]),
         },
         "boundary_no_rr": {
-            "d_crossing_hz_at_experimental_ratio": crossing_d(norr),
+            "d_crossing_hz_at_experimental_ratio": unity_crossing(d_axis, norr[i_exp], rising=True),
             "ratio_crossing_at_experimental_d": unity_crossing(ratio_axis, norr[:, j_exp]),
         },
         "fixed_inputs": {

@@ -52,6 +52,15 @@ SZ = {"NV": pair_operator(_SIGMA_Z / 2.0, _IDENTITY), "Xe": pair_operator(_IDENT
 P0_NV = pair_operator(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex), _IDENTITY)
 SZ_SZ = pair_operator(_SIGMA_Z / 2.0, _SIGMA_Z / 2.0)
 
+# basis indices of the two exchange subspaces of the pair
+EXCHANGE_BLOCKS = {"zq": (1, 2), "dq": (0, 3)}  # |01>, |10> and |00>, |11>
+
+# the single-spin dressed kets |+> and |->, eigenstates of Sx, read-only
+PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
+MINUS = np.array([1.0, -1.0]) / np.sqrt(2.0)
+PLUS.setflags(write=False)
+MINUS.setflags(write=False)
+
 
 class LayoutError(ValueError):
     """Raised for a layout other than the (NV, Xe) pair."""
@@ -569,10 +578,6 @@ def validate_density_matrix(mat: np.ndarray) -> None:
         raise StateError(f"minimum eigenvalue {min_eig:.3e} below -{POSITIVITY_TOL}")
 
 
-def single_spin_populations(p: float) -> np.ndarray:
-    return np.diag([(1.0 + p) / 2.0, (1.0 - p) / 2.0]).astype(complex)
-
-
 def polarized_state(lay: SpinLayout, polarizations: Mapping[str, float]) -> DensityState:
     """Product state of diagonal single-spin states with the given polarizations."""
     populations = []
@@ -580,7 +585,7 @@ def polarized_state(lay: SpinLayout, polarizations: Mapping[str, float]) -> Dens
         p = float(polarizations[label])
         if not -1.0 <= p <= 1.0:
             raise ValueError(f"polarization {p} for {label!r} out of [-1, 1]")
-        populations.append(single_spin_populations(p))
+        populations.append(np.diag([(1.0 + p) / 2.0, (1.0 - p) / 2.0]).astype(complex))
     return DensityState(pair_operator(*populations))
 
 
@@ -597,5 +602,6 @@ def bell_coherence(state: DensityState) -> complex | np.ndarray:
     Its magnitude quantifies the usable two-spin coherence in the
     Bell-state block.
     """
-    coherence = state.matrix[..., 0, 3]
+    i, j = EXCHANGE_BLOCKS["dq"]
+    coherence = state.matrix[..., i, j]
     return coherence if coherence.ndim else complex(coherence)

@@ -225,6 +225,23 @@ def test_gain_crossing_and_unpolarized_bound():
     assert np.all(g1 <= 2.0 + 1e-12)
 
 
+@pytest.mark.parametrize("rising", [False, True])
+def test_unity_crossing_interpolates_in_either_direction(rising):
+    x = np.array([10.0, 20.0, 30.0, 40.0])
+    y = np.array([0.2, 0.6, 1.4, 1.8]) if rising else np.array([1.8, 1.4, 0.6, 0.2])
+    assert unity_crossing(x, y, rising=rising) == 25.0
+    assert unity_crossing(x, 2.0 - y, rising=not rising) == 25.0
+
+
+@pytest.mark.parametrize("rising", [False, True])
+def test_unity_crossing_is_none_off_the_grid(rising):
+    x = np.array([10.0, 20.0, 30.0])
+    start_past = np.array([1.0, 1.2, 0.8]) if rising else np.array([0.9, 1.5, 1.2])
+    never = np.array([0.2, 0.5, 0.9]) if rising else np.array([1.5, 1.2, 1.0])
+    assert unity_crossing(x, start_past, rising=rising) is None
+    assert unity_crossing(x, never, rising=rising) is None
+
+
 def test_gain_performance_array_matches_scalar_calls():
     taus = np.linspace(1e-6, 150e-6, 1500)
     for env_nv, env_two in ((ENV_NV, ENV_TWO), (DecoherenceEnvelope(0.9, 40e3, 2.7), ENV_TWO)):
@@ -396,6 +413,33 @@ def test_sweep_experimental_cell_flips_with_rr():
     single, repeated = _sweep(d_axis, ratio_axis)
     assert single[i, j] < 1.0
     assert repeated[i, j] > 1.0
+
+
+def _fig4c_crossing_d(d_axis, row):
+    """fig4c's former private d crossing, kept as the reference."""
+    above = np.nonzero(row >= 1.0)[0]
+    if len(above) == 0 or above[0] == 0:
+        return float(d_axis[0]) if len(above) else None
+    k = above[0]
+    x0, x1, y0, y1 = d_axis[k - 1], d_axis[k], row[k - 1], row[k]
+    return float(x0 + (1.0 - y0) * (x1 - x0) / (y1 - y0))
+
+
+def test_rising_unity_crossing_matches_the_former_fig4c_crossing():
+    interior = 0
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        d_axis = np.linspace(rng.uniform(5e3, 40e3), rng.uniform(80e3, 300e3), int(rng.integers(5, 40)))
+        ratio_axis = np.linspace(rng.uniform(0.05, 0.5), rng.uniform(0.6, 1.6), 6)
+        for values in _sweep(d_axis, ratio_axis):
+            for row in values:
+                old, new = _fig4c_crossing_d(d_axis, row), unity_crossing(d_axis, row, rising=True)
+                if row[0] >= 1.0:  # the old rule wrote the grid's first d
+                    assert old == d_axis[0] and new is None
+                else:
+                    assert new == old
+                    interior += new is not None
+    assert interior >= 20
 
 
 def _per_cell_sweep(d_axis, ratio_axis, use_rr, ladder, alpha0_nv, alpha0_two_spin, gamma2_nv_hz,

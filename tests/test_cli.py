@@ -2,7 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -434,6 +436,37 @@ def test_absent_unity_crossing_writes_null(case, tmp_path, capsys):
     summary = json.loads((tmp_path / "fig4a.json").read_text())["summary"]
     assert summary["unity_crossing_tau_s"] is None
     assert (tmp_path / "fig4a.csv").exists()
+
+
+# configs whose fig4c one-readout gain is already >= 1 at the grid's first
+# coupling, at the experimental ratio: the d crossing lies off the grid
+ROW_STARTS_ABOVE_UNITY_CONFIGS = {
+    "grid_above_the_crossing": {"sweep": {"d_min_hz": 80000}},
+    "weak_nv_amplitude": {"decoherence": {"alpha0_nv": 0.5}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_STARTS_ABOVE_UNITY_CONFIGS))
+def test_fig4c_crossing_off_the_grid_writes_null(case, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(ROW_STARTS_ABOVE_UNITY_CONFIGS[case]))
+    rc = _run(["run", "--scenario", "fig4c", "--config", str(cfg), "--out", str(tmp_path), "--quiet"])
+    assert rc == 0 and capsys.readouterr().err == ""
+    summary = json.loads((tmp_path / "fig4c.json").read_text())["summary"]
+    assert summary["boundary_no_rr"]["d_crossing_hz_at_experimental_ratio"] is None
+
+
+def test_module_entry_point_validates_and_lists_the_run_flags(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    config = tmp_path / "empty.json"
+    config.write_text("{}")
+    entry = [sys.executable, "-m", "entangle_sense"]
+    done = subprocess.run([*entry, "validate", str(config)], capture_output=True, text=True, env=env)
+    assert done.returncode == 0 and "config is valid" in done.stdout
+    done = subprocess.run([*entry, "run", "--help"], capture_output=True, text=True, env=env)
+    assert done.returncode == 0
+    flags = set(re.findall(r"--[a-z]+", done.stdout)) - {"--help"}
+    assert flags == {"--scenario", "--config", "--out", "--seed", "--quiet"}
 
 
 # configs whose fig2c fits cannot converge: the one curve they break (flat,

@@ -27,7 +27,7 @@ ALLOWED = {
 
 # defaults that no call on the path overrides, each on purpose
 ALLOWED_DEFAULTS = {
-    "config.resolve.trajectories": "the --trajectories flag, which the driver leaves unset",
+    "config.resolve.trajectories": "no CLI flag sets it; the acceptance tests pass shot counts through it",
 }
 
 DRIVER = """

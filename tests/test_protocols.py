@@ -77,6 +77,15 @@ def test_phase_recipes_do_not_depend_on_the_coupling(d_hz):
     assert _recipes_at(d_hz) == verify_phase_recipes() == {"zq": 0.0, "dq": np.pi}
 
 
+def test_matched_drive_drives_both_spins_equally():
+    expected = HamiltonianSpec(
+        layout=TWO_SPIN_LAYOUT,
+        drives={"NV": DriveTerm(rabi=2e6), "Xe": DriveTerm(rabi=2e6, phase=np.pi)},
+        coupling_hz=58e3,
+    )
+    assert protocols.matched_drive(58e3, 2e6, np.pi) == expected
+
+
 def test_hhcp_swap_recipe_swaps_populations():
     rho = pure_state(TWO_SPIN_LAYOUT, _ket(1))  # |01>
     out = apply_exchange_gate(rho, IDEAL, IDEAL.swap_time, block="zq")

@@ -265,6 +265,14 @@ def test_polarized_state_examples():
             polarized_state(PAIR, bad)
 
 
+def test_exchange_blocks_and_dressed_kets_are_spinsys_constants():
+    assert dynamics.EXCHANGE_BLOCKS is spinsys.EXCHANGE_BLOCKS is protocols.EXCHANGE_BLOCKS
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for ket, eigenvalue in ((spinsys.PLUS, 1.0), (spinsys.MINUS, -1.0)):
+        assert not ket.flags.writeable
+        assert np.allclose(sigma_x @ ket, eigenvalue * ket) and np.linalg.norm(ket) == pytest.approx(1.0)
+
+
 def test_bell_coherence_phi_minus():
     psi = np.array([1.0, 0.0, 0.0, -1.0j]) / np.sqrt(2.0)
     rho = pure_state(PAIR, psi)
