@@ -79,18 +79,22 @@ class FitResult:
 class TimingBudget:
     """Per-shot dead times around one sensing window of duration tau.
 
-    tau_s and repetitions may be arrays; shot_time then broadcasts them.
+    tau_s, tau_phi_s and repetitions may be arrays; shot_time then
+    broadcasts them.
     """
 
     tau_s: float | np.ndarray
     tau_nv_s: float
-    tau_phi_s: float
+    tau_phi_s: float | np.ndarray
     tau_rr_s: float
     repetitions: int | np.ndarray = 1
 
     def __post_init__(self) -> None:
-        if min(np.min(self.tau_s), self.tau_nv_s, self.tau_phi_s, self.tau_rr_s) < 0:
-            raise ValueError("times must be >= 0")
+        for t in (self.tau_s, self.tau_nv_s, self.tau_phi_s, self.tau_rr_s):
+            if not np.isfinite(t).all():
+                raise ValueError("times must be finite")
+            if np.any(np.less(t, 0)):
+                raise ValueError("times must be >= 0")
         if np.min(self.repetitions) < 0:
             raise ValueError("repetition count must be >= 0")
 
@@ -439,6 +443,40 @@ def snr_bound_check(report: SensitivityReport) -> tuple[bool, list[str]]:
 # Parameter-space sweep
 
 
+def _best_repetitions(snr: np.ndarray, tau_rr_s: float, base_s: np.ndarray) -> np.ndarray:
+    """Repetition count m maximizing snr[m] / sqrt(base_s + max(m - 1, 0) * tau_rr_s).
+
+    Maximizing that is minimizing the line (base_s + e_m) / snr[m]**2 in
+    base_s, e_m the repetition dead time, so the best m at every base
+    time comes from the lower envelope of the ladder's lines.  The slopes
+    1 / snr**2 never increase with m, so one pass builds the envelope; of
+    two lines with equal slopes the one with the smaller intercept stays.
+    The envelope's breakpoints are rounded, but the two neighbouring lines
+    are equal at a breakpoint, so the m returned near one is within a few
+    ulp of the best.  base_s may have any shape; m* has its shape.
+    """
+    slope = 1.0 / snr**2
+    icept = np.maximum(np.arange(len(snr)) - 1, 0) * tau_rr_s * slope
+    hull: list[int] = []
+    cross: list[float] = []  # cross[i]: base time above which hull[i + 1] beats hull[i]
+    for m in range(len(snr)):
+        if hull and slope[m] == slope[hull[-1]]:
+            if icept[m] >= icept[hull[-1]]:
+                continue
+            hull.pop()
+            if cross:
+                cross.pop()
+        while hull:
+            x = (icept[m] - icept[hull[-1]]) / (slope[hull[-1]] - slope[m])
+            if not cross or x > cross[-1]:
+                cross.append(x)
+                break
+            hull.pop()
+            cross.pop()
+        hull.append(m)
+    return np.asarray(hull)[np.searchsorted(cross, base_s)]
+
+
 def sweep_gain_map(
     d_axis_hz: Sequence[float],
     ratio_axis: Sequence[float],
@@ -460,16 +498,24 @@ def sweep_gain_map(
     g(ratio, tau) * SNR-gain(m) * h(d, tau, m), maximized over 600
     log-spaced tau from 1 us to 5 / Gamma2_NV; ``values[0]`` has one
     readout (m = 0), ``values[1]`` the best m of ``ladder``.  g is computed
-    once for all ratios and h once per coupling for every m, by
-    ``overhead_factor``; h's row m = 0 serves the single readout (m = 0 and
-    m = 1 have no repetition dead time).  For ``values[1]`` each coupling
-    first bounds every (ratio, tau) cell by g * max_m(SNR * h), within
-    2 ulp of the cell's exact max as all factors are >= 0; the exact
-    (SNR * g) * h is then formed only at the cells within 1e-13 of their
-    row's bound, so the result is bit-identical to a per-cell max.  Cells
-    with g == 0 are never taken (they contribute exactly 0, the initial
-    value), and a row whose bound is below 2**-1000, where the ulp argument
-    fails, takes all its g > 0 cells.
+    once for all ratios.  Every h comes from ``overhead_factor``, in
+    batched calls over (coupling, tau).
+
+    For ``values[1]`` the best m at each (coupling, tau) is found without
+    forming h for every m: it maximizes SNR(m) / sqrt(B + e_m), B the
+    shot time with one readout and e_m the repetition dead time, which is
+    the lower envelope of one line per m (see ``_best_repetitions``).
+    Each (ratio, tau) cell is bounded by g * SNR(m*) * h(d, tau, m*).  The
+    bound lies within a few ulp of the cell's exact max over m, as all
+    factors are >= 0: the envelope's breakpoints are rounded, but the two
+    lines that meet at a breakpoint are equal there, so a rounded lookup
+    picks an m whose value differs from the best by rounding only.  The
+    exact (SNR * g) * h over every m is then formed only at the cells
+    within 1e-13 of their row's bound, a window that covers that error,
+    so the result is bit-identical to a per-cell max.  Cells with g == 0
+    are never taken (they contribute exactly 0, the initial value), and a
+    row whose bound is below 2**-1000, where the ulp argument fails, takes
+    all its g > 0 cells.
 
     g is ``gain_performance`` at q = 1 written in the log domain,
     2 * (alpha0_two / alpha0_nv) * exp((gamma2_NV tau)^p - (gamma2_two tau)^p),
@@ -482,22 +528,34 @@ def sweep_gain_map(
     ratios = np.asarray(ratio_axis, dtype=float)
     tau_grid = np.geomspace(1e-6, 5.0 / gamma2_nv_hz, 600)
     gamma2_two = gamma2_nv_hz * (1.0 + ratios)
-    amp_ratio = (alpha0_two_spin / alpha0_nv) * np.exp(
+    g = (alpha0_two_spin / alpha0_nv) * np.exp(
         (gamma2_nv_hz * tau_grid) ** p - (gamma2_two[:, None] * tau_grid) ** p
     )
-    g = 2.0 * amp_ratio  # (ratio, tau); q = 1: nuclear factor unity
-    repetitions = np.arange(len(ladder))[:, None]
-    snr = snr_gain(ladder)[:, None]
+    g *= 2.0  # (ratio, tau); q = 1: nuclear factor unity
+    positive = g > 0
+    snr = snr_gain(ladder)
+    tau_phi = (tau_phi_at_d_exp_s * (d_exp_hz / d_axis))[:, None]
+    single = TimingBudget(tau_grid, tau_nv_s, tau_phi, tau_rr_s)  # (coupling, tau)
+    best = _best_repetitions(snr, tau_rr_s, single.shot_time)
+    h0 = overhead_factor(single)
+    bound = snr[best] * overhead_factor(replace(single, repetitions=best))
     values = np.zeros((2, len(ratios), len(d_axis)))
-    for j, d in enumerate(d_axis):
-        tau_phi = tau_phi_at_d_exp_s * (d_exp_hz / d)
-        h = overhead_factor(TimingBudget(tau_grid, tau_nv_s, tau_phi, tau_rr_s, repetitions))
-        values[0, :, j] = (g * h[0]).max(axis=1)
-        approx = g * (snr * h).max(axis=0)  # (ratio, tau), within 2 ulp of the exact max over m
+    cells = []
+    for j in range(len(d_axis)):
+        values[0, :, j] = (g * h0[j]).max(axis=1)
+        approx = g * bound[j]  # (ratio, tau), within a few ulp of the exact max over m
         rowmax = approx.max(axis=1, keepdims=True)
         near = (approx >= (1.0 - 1e-13) * rowmax) | (rowmax < 2.0**-1000)
-        ii, ts = np.nonzero(near & (g > 0))
-        np.maximum.at(values, (1, ii, j), (snr * g[ii, ts] * h[:, ts]).max(axis=0))
+        cells.append(np.flatnonzero(near & positive))
+    del h0, bound, best  # freed before the (m, cell) arrays, which hold the peak
+    ii, ts = divmod(np.concatenate(cells), len(tau_grid))
+    jj = np.repeat(np.arange(len(d_axis)), [len(c) for c in cells])
+    h = overhead_factor(
+        TimingBudget(tau_grid[ts], tau_nv_s, tau_phi[jj, 0], tau_rr_s, np.arange(len(snr))[:, None])
+    )
+    exact = snr[:, None] * g[ii, ts]
+    exact *= h
+    np.maximum.at(values[1], (ii, jj), exact.max(axis=0))
     return SweepGrid(d_axis_hz=d_axis, ratio_axis=ratios, values=values)
 
 

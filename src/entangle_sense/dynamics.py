@@ -84,10 +84,10 @@ class DecoherenceEnvelope:
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha0 <= 1.0:
             raise ValueError("alpha0 must be in [0, 1]")
-        if self.gamma2_hz < 0:
-            raise ValueError("gamma2 must be >= 0")
-        if self.p <= 0:
-            raise ValueError("decay exponent p must be positive")
+        if not (np.isfinite(self.gamma2_hz) and self.gamma2_hz >= 0):
+            raise ValueError("gamma2 must be finite and >= 0")
+        if not (np.isfinite(self.p) and self.p > 0):
+            raise ValueError("decay exponent p must be finite and positive")
 
     def decay(self, t):
         """Coherence decay factor over a contiguous interval t (no alpha0).

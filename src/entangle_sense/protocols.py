@@ -62,12 +62,12 @@ class GateParams:
     t1rho_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.d_hz <= 0:
-            raise ValueError("coupling d must be positive")
+        if not (np.isfinite(self.d_hz) and self.d_hz > 0):
+            raise ValueError("coupling d must be finite and positive")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("gate error must be in [0, 1]")
-        if self.t1rho_s is not None and self.t1rho_s <= 0:
-            raise ValueError("t1rho must be positive")
+        if self.t1rho_s is not None and not (np.isfinite(self.t1rho_s) and self.t1rho_s > 0):
+            raise ValueError("t1rho must be finite and positive")
 
     @property
     def swap_time(self) -> float:

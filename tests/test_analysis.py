@@ -8,6 +8,7 @@ from entangle_sense.analysis import (
     FitError,
     MagnetometryCurve,
     TimingBudget,
+    _best_repetitions,
     _rewrite,
     check_jacobian,
     fit_sinusoid,
@@ -290,6 +291,22 @@ def test_timing_budget_rejects_negative_array_element():
         _budget(taus, repetitions=np.array([3, 1, -1, 2]))
 
 
+def test_timing_budget_takes_an_array_tau_phi():
+    taus = np.linspace(1e-6, 60e-6, 10)
+    tau_phi = np.array([[3e-6], [21e-6], [40e-6]])
+    h = overhead_factor(_budget(taus, tau_phi_s=tau_phi))
+    assert h.shape == (3, 10)
+    for row, t in zip(h, tau_phi[:, 0]):
+        assert np.array_equal(row, overhead_factor(_budget(taus, tau_phi_s=float(t))))
+
+
+@pytest.mark.parametrize("field", ["tau_s", "tau_nv_s", "tau_phi_s", "tau_rr_s"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, np.array([19e-6, np.nan]), np.array([19e-6, np.inf])])
+def test_timing_budget_refuses_non_finite_times(field, bad):
+    with pytest.raises(ValueError, match="times must be finite"):
+        TimingBudget(**{"tau_s": 19e-6, **TIMES, field: bad})
+
+
 def test_overhead_factor_values():
     assert overhead_factor(_budget(19e-6, repetitions=1)) == pytest.approx(0.735, abs=1e-3)
     assert overhead_factor(_budget(1.0, tau_phi_s=0.0, tau_nv_s=0.0)) == pytest.approx(1.0)
@@ -389,6 +406,34 @@ def _sweep(d_axis, ratio_axis, m_max=DEFAULTS["sweep"]["m_max"], **overrides):
     return sweep_gain_map(d_axis, ratio_axis, _ladder(m_max), **{**SWEEP_INPUTS, **overrides}).values
 
 
+def _random_ladder(rng, m_max):
+    """Non-geometric ladder; about 30 % of the entries after a_0 are 0 (equal SNR steps)."""
+    ladder = rng.uniform(0.0, 1.0, m_max + 1) * (rng.uniform(size=m_max + 1) < 0.7)
+    ladder[0] = rng.uniform(0.1, 1.0)
+    return ladder
+
+
+@pytest.mark.filterwarnings("error")  # equal slopes must not divide by zero
+def test_best_repetitions_matches_a_brute_force_argmax():
+    eps = np.finfo(float).eps
+    for seed in range(120):
+        rng = np.random.default_rng(seed)
+        m_max = [0, 1, 30, int(rng.integers(2, 200))][seed % 4]
+        snr = snr_gain(_random_ladder(rng, m_max))
+        tau_rr = 0.0 if seed % 5 == 0 else 10 ** rng.uniform(-8, -4)  # 0: every intercept 0
+        extra = np.maximum(np.arange(m_max + 1) - 1, 0) * tau_rr
+        # shot times around every pairwise crossing of the lines, where the best m changes
+        i, k = np.triu_indices(m_max + 1, 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = (extra[k] * snr[i] ** 2 - extra[i] * snr[k] ** 2) / (snr[k] ** 2 - snr[i] ** 2)
+        cross = cross[np.isfinite(cross) & (cross > 0)]
+        base = np.concatenate([10 ** rng.uniform(-7, -2, 200), cross, np.nextafter(cross, 0), np.nextafter(cross, 1)])
+        value = snr[:, None] / np.sqrt(base + extra[:, None])
+        best = _best_repetitions(snr, tau_rr, base)
+        assert best.shape == base.shape
+        assert np.all(value[best, np.arange(len(base))] >= (1.0 - 8 * eps) * value.max(axis=0)), seed
+
+
 def test_sweep_monotone_in_coupling_and_ratio():
     d_axis = np.linspace(40e3, 120e3, 9)
     ratio_axis = np.linspace(0.2, 1.2, 9)
@@ -482,18 +527,28 @@ SWEEP_REFERENCE_CASES = {
     "exponential decay": (np.linspace(0.1, 1.4, 5), {"gamma2_nv_hz": 5e3, "p": 1.0}),
     # every gain subnormal, so rounding is no longer relative
     "subnormal gains": (np.linspace(0.1, 1.4, 5), {"alpha0_two_spin": 1e-321}),
+    # no repetition dead time: every envelope line passes through 0
+    "no repetition dead time": (np.linspace(0.1, 1.4, 5), {"tau_rr_s": 0.0}),
 }
 
 
 @pytest.mark.parametrize("use_rr", [False, True])
-@pytest.mark.parametrize("m_max", [0, 1, 30])
+@pytest.mark.parametrize("m_max", [0, 1, 30, 1000])
 def test_sweep_matches_per_cell_reference(use_rr, m_max):
     d_axis = np.linspace(30e3, 150e3, 7)
-    for name, (ratio_axis, overrides) in SWEEP_REFERENCE_CASES.items():
-        values = _sweep(d_axis, ratio_axis, m_max, **overrides)
-        assert values.shape == (2, len(ratio_axis), 7), name
-        expected = _per_cell_sweep(d_axis, ratio_axis, use_rr, _ladder(m_max), **{**SWEEP_INPUTS, **overrides})
-        assert np.array_equal(values[int(use_rr)], expected), name
+    ladders = {"geometric": _ladder(m_max)}  # the fig4c ladder
+    cases = SWEEP_REFERENCE_CASES
+    if m_max < 1000:  # and seeded ladders with equal SNR steps
+        ladders.update((f"seed {k}", _random_ladder(np.random.default_rng(k), m_max)) for k in (0, 1))
+    else:  # the reference is slow over 1001 repetition counts: only the grids with no tiny gains
+        cases = {name: SWEEP_REFERENCE_CASES[name] for name in ("default", "ratio from 0", "no repetition dead time")}
+    for name, (ratio_axis, overrides) in cases.items():
+        inputs = {**SWEEP_INPUTS, **overrides}
+        for kind, ladder in ladders.items():
+            values = sweep_gain_map(d_axis, ratio_axis, ladder, **inputs).values
+            assert values.shape == (2, len(ratio_axis), 7), name
+            expected = _per_cell_sweep(d_axis, ratio_axis, use_rr, ladder, **inputs)
+            assert np.array_equal(values[int(use_rr)], expected), (name, kind)
 
 
 def _sweep_peak_bytes(ratio_axis, **overrides):
@@ -508,9 +563,9 @@ def _sweep_peak_bytes(ratio_axis, **overrides):
 
 
 def test_sweep_peak_memory_stays_small():
-    # the sweep builds one (m, tau) and a few (ratio, tau) arrays per
-    # coupling; a (ratio, m, tau) or (coupling, m, tau) stack at this size
-    # would trace 6-12 MB
+    # the sweep builds a few (coupling, tau) and (ratio, tau) arrays and
+    # one (m, candidate cell) array; a (ratio, m, tau) or (coupling, m, tau)
+    # stack at this size would trace 6-12 MB
     assert _sweep_peak_bytes(np.linspace(0.1, 1.4, 40)) < 2 * 2**20
 
 

@@ -15,6 +15,7 @@ from entangle_sense.dynamics import (
     ou_trajectory,
     propagate,
 )
+from entangle_sense.protocols import GateParams
 from entangle_sense.spinsys import (
     GAMMA_E,
     DensityState,
@@ -447,6 +448,24 @@ def test_monte_carlo_accepts_a_zero_drive():
 def test_ou_noise_model_refuses_non_finite_parameters(sigma_b, tau_c, message):
     with pytest.raises(ValueError, match=message):
         OUNoiseModel(sigma_b, tau_c)
+
+
+@pytest.mark.parametrize(
+    "cls, args, message",
+    [
+        (DecoherenceEnvelope, (1.0, np.nan, 1.6), "gamma2"),
+        (DecoherenceEnvelope, (1.0, np.inf, 1.6), "gamma2"),
+        (DecoherenceEnvelope, (1.0, 1e3, np.nan), "exponent p"),
+        (DecoherenceEnvelope, (1.0, 1e3, np.inf), "exponent p"),
+        (GateParams, (np.nan,), "coupling d"),
+        (GateParams, (np.inf,), "coupling d"),
+        (GateParams, (1e3, 0.0, np.nan), "t1rho"),
+        (GateParams, (1e3, 0.0, np.inf), "t1rho"),
+    ],
+)
+def test_envelope_and_gate_params_refuse_non_finite_values(cls, args, message):
+    with pytest.raises(ValueError, match=message):
+        cls(*args)
 
 
 def test_hamiltonian_hermitian():
