@@ -95,7 +95,10 @@ class TimingBudget:
                 raise ValueError("times must be finite")
             if np.any(np.less(t, 0)):
                 raise ValueError("times must be >= 0")
-        if np.min(self.repetitions) < 0:
+        reps = np.asarray(self.repetitions)
+        if not (np.isfinite(reps) & (np.floor(reps) == reps)).all():
+            raise ValueError("repetition count must be a whole number")
+        if np.min(reps) < 0:
             raise ValueError("repetition count must be >= 0")
 
     @property
@@ -184,7 +187,8 @@ def _lm_minimize(
             jac = jacobian(x)
             a = jac.T @ jac
             grad = jac.T @ r
-            lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            # rho >= 1 gives 1/3 either way; capping it keeps the cube finite
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * min(rho, 1.0) - 1.0) ** 3)
             nu = 2.0
         else:
             lam *= nu

@@ -39,6 +39,7 @@ from .spinsys import (
 from .dynamics import (
     DriveTerm,
     HamiltonianSpec,
+    _evolve,
     driven_decay,
     expm_hermitian,
     optical_pump,
@@ -137,7 +138,7 @@ def apply_exchange_gate(
     """
     theta = 2.0 * np.pi * params.d_hz * duration
     u = exchange_unitary(theta, phase, block)
-    mat = u @ state.matrix @ np.swapaxes(u.conj(), -1, -2)
+    mat = _evolve(state.matrix, u)
     if params.t1rho_s is not None:
         mat = driven_decay(mat, params.t1rho_s, duration, block)
     if params.epsilon != 0.0:

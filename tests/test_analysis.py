@@ -300,6 +300,14 @@ def test_timing_budget_takes_an_array_tau_phi():
         assert np.array_equal(row, overhead_factor(_budget(taus, tau_phi_s=float(t))))
 
 
+def test_timing_budget_refuses_non_whole_repetition_counts():
+    for bad in (np.nan, np.inf, 2.5, np.array([1, 2.5]), np.array([3.0, np.nan])):
+        with pytest.raises(ValueError, match="repetition count must be a whole number"):
+            _budget(19e-6, repetitions=bad)
+    # a whole count given as a float is still a count
+    assert overhead_factor(_budget(19e-6, repetitions=3.0)) == overhead_factor(_budget(19e-6, repetitions=3))
+
+
 @pytest.mark.parametrize("field", ["tau_s", "tau_nv_s", "tau_phi_s", "tau_rr_s"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, np.array([19e-6, np.nan]), np.array([19e-6, np.inf])])
 def test_timing_budget_refuses_non_finite_times(field, bad):

@@ -391,6 +391,10 @@ INFEASIBLE_CONFIGS = {
     "unreachable_one_round_polarization": (
         "fig2a", {"calibration": {"one_round_x_polarization": 0.99}}, "calibration.one_round_x_polarization"),
     "all_ones_ladder": ("fig2d", {"readout": {"amplitude_sum": 10}}, "readout.amplitude_sum"),
+    "nv_unpolarized_before_gate": (
+        "fig2b",
+        {"pump": {"efficiency": 0.0}, "calibration": {"initial_x_polarization": 0.0, "one_round_x_polarization": 0.0}},
+        "pump.efficiency, calibration.initial_x_polarization"),
     "unit_snr_gain": ("fig2d", {"readout": {"snr_at_m": 1.0}}, "readout.snr_at_m"),
     "unit_snr_gain_fig4c": ("fig4c", {"readout": {"snr_at_m": 1.0}}, "readout.snr_at_m"),
     "snr_gain_beyond_geometric_ladder": ("fig4c", {"readout": {"snr_at_m": 4.0}}, "readout.m_max"),
@@ -524,6 +528,8 @@ def edge_configs(draw):
 @example(config={"decoherence": {"p": 0.5}})
 @example(config={"run": {"trajectories": 1}})
 @example(config={"readout": {"amplitude_sum": 2.0805206665210703, "snr_at_m": 3.606548912716371, "m_max": 26}})
+@example(config={"pump": {"efficiency": 0.0}, "calibration": {"initial_x_polarization": 0.0, "one_round_x_polarization": 0.0}})
+@example(config={"decoherence": {"gamma2_nv_hz": 1e9}, "run": {"trajectories": 1, "seed": 282}})
 def test_every_valid_config_runs_or_exits_cleanly(config):
     merged = {"sweep": dict(SMALL_SWEEP)}
     for section, values in config.items():

@@ -5,6 +5,8 @@ rerun at seed 0.  The runners' columns and summaries must change for
 exactly the scenarios declared in ``REACH``, so a figure that hard-codes
 a value its config sets, or a key that silently stops reaching a figure,
 fails here.  The echoed config in the JSON output is not compared.
+Each runner must also read exactly the keys ``REACH`` gives it, so a read
+that moves nothing fails too.
 """
 
 import json
@@ -12,8 +14,9 @@ import json
 import numpy as np
 import pytest
 
-from entangle_sense.config import DEFAULTS, PARAMETERS, SCENARIOS, resolve
+from entangle_sense.config import DEFAULTS, PARAMETERS, SCENARIOS, ScenarioConfig, resolve
 from entangle_sense.scenarios import SCENARIO_RUNNERS
+from entangle_sense.spinsys import InfeasibleError
 
 GATES = {"fig2a", "fig2b"}  # calibrated exchange gates
 NOISY = {"fig2b", "fig2c", "fig3a", "fig3b"}  # shot noise from the seed
@@ -63,6 +66,19 @@ REACH = {
     "metadata.rabi_is_assumed": (None, set()),  # a flag: flipped, not stepped
 }
 
+# one valid config per scenario that can raise InfeasibleError
+INFEASIBLE = {
+    "fig2a": {"calibration": {"one_round_x_polarization": 0.99}},
+    "fig2b": {
+        "pump": {"efficiency": 0.0},
+        "calibration": {"initial_x_polarization": 0.0, "one_round_x_polarization": 0.0},
+    },
+    "fig2d": {"readout": {"amplitude_sum": 10}},
+    "fig4a": {"decoherence": {"alpha0_two_spin": 0}},
+    "fig4b": {"decoherence": {"gamma2_nv_hz": 1e9}},
+    "fig4c": {"readout": {"snr_at_m": 4.0}},
+}
+
 
 def _outputs(override):
     out = {}
@@ -92,3 +108,34 @@ def test_key_moves_exactly_its_figures(key, baseline):
     value = (not default) if step is None else default + step
     moved = _outputs({section: {name: value}})
     assert {s for s in SCENARIOS if moved[s] != baseline[s]} == expected
+
+
+def _reads(scenario, override, monkeypatch):
+    """The keys the runner reads from its config, and the InfeasibleError it raised, if any."""
+    cfg = resolve(scenario=scenario, config_text=json.dumps(override))
+    read = set()
+    get = ScenarioConfig.__getitem__
+
+    def recording(self, key):
+        read.add(key)
+        return get(self, key)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ScenarioConfig, "__getitem__", recording)
+        try:
+            SCENARIO_RUNNERS[scenario](cfg, np.random.default_rng(0))
+        except InfeasibleError as exc:
+            return read, exc
+    return read, None
+
+
+# the CLI, not the runner, reads run.seed to seed the generator
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_runner_reads_exactly_its_reach(scenario, monkeypatch):
+    read, exc = _reads(scenario, {}, monkeypatch)
+    assert exc is None
+    assert read == {key for key, (_, moved) in REACH.items() if scenario in moved} - {"run.seed"}
+    if scenario in INFEASIBLE:
+        read, exc = _reads(scenario, INFEASIBLE[scenario], monkeypatch)
+        assert exc is not None and exc.config_keys
+        assert set(exc.config_keys) <= read
