@@ -481,6 +481,17 @@ def _best_repetitions(snr: np.ndarray, tau_rr_s: float, base_s: np.ndarray) -> n
     return np.asarray(hull)[np.searchsorted(cross, base_s)]
 
 
+def _sensing_times(gamma2_nv_hz: float, n: int) -> np.ndarray:
+    """n log-spaced sensing times from 1 us to 5 / gamma2_NV, where the gain maxima are sought.
+
+    Raises InfeasibleError when 5 / gamma2_NV overflows: no grid spans it.
+    """
+    t_max = 5.0 / gamma2_nv_hz
+    if not np.isfinite(t_max):
+        raise InfeasibleError(f"sensing times up to 5 / gamma2_NV overflow at gamma2_NV = {gamma2_nv_hz:.3g} Hz")
+    return np.geomspace(1e-6, t_max, n)
+
+
 def sweep_gain_map(
     d_axis_hz: Sequence[float],
     ratio_axis: Sequence[float],
@@ -530,7 +541,7 @@ def sweep_gain_map(
     """
     d_axis = np.asarray(d_axis_hz, dtype=float)
     ratios = np.asarray(ratio_axis, dtype=float)
-    tau_grid = np.geomspace(1e-6, 5.0 / gamma2_nv_hz, 600)
+    tau_grid = _sensing_times(gamma2_nv_hz, 600)
     gamma2_two = gamma2_nv_hz * (1.0 + ratios)
     g = (alpha0_two_spin / alpha0_nv) * np.exp(
         (gamma2_nv_hz * tau_grid) ** p - (gamma2_two[:, None] * tau_grid) ** p
@@ -593,8 +604,11 @@ def required_amplitude_ratio_scale(
     without repetitive readout.  The max is over 2000 log-spaced tau from
     1 us to 5 / gamma2_NV.
     """
-    tau_grid = np.geomspace(1e-6, 5.0 / envelope_nv.gamma2_hz, 2000)
-    g = gain_performance(tau_grid, envelope_nv, envelope_two, factor)
+    tau_grid = _sensing_times(envelope_nv.gamma2_hz, 2000)
+    # far out on the grid of a tiny gamma2_NV, (gamma2_two * tau)**p overflows
+    # to inf; the two-spin decay there is exactly 0, the right value
+    with np.errstate(over="ignore"):
+        g = gain_performance(tau_grid, envelope_nv, envelope_two, factor)
     h = overhead_factor(replace(budget, tau_s=tau_grid, repetitions=1))
     peak = float(np.max(g * h))
     if peak <= 0:

@@ -24,14 +24,12 @@ import numpy as np
 from .spinsys import (
     EXCHANGE_BLOCKS,
     GAMMA_E,
-    P0_NV,
     SX,
     SY,
     SZ,
     SZ_SZ,
     DensityState,
     SpinLayout,
-    pair_operator,
 )
 
 
@@ -146,25 +144,23 @@ def propagate(state: DensityState, ham: HamiltonianSpec, t: float) -> DensitySta
     return DensityState(_evolve(state.matrix, expm_hermitian(ham.assemble(), t)))
 
 
-# the optical pump's Kraus operators before their weights: the identity,
-# then |0><0| and |0><1| on the NV, the Xe spin untouched
-PUMP_KRAUS = (
-    pair_operator(np.eye(2, dtype=complex), np.eye(2, dtype=complex)),
-    P0_NV,
-    pair_operator(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), np.eye(2, dtype=complex)),
-)
-
-
 def optical_pump(state: DensityState, efficiency: float) -> DensityState:
-    """Kraus channel resetting the NV qubit toward |0>, the Xe spin untouched.
+    """Reset the NV toward |0> with probability e, the Xe spin untouched.
 
-    The Kraus operators are PUMP_KRAUS weighted by sqrt(1 - efficiency),
-    sqrt(efficiency) and sqrt(efficiency).
+    The map (1 - e) rho + e |0><0|_NV (x) Tr_NV rho, on the entries it
+    touches: Tr_NV rho, the sum of the NV = 0 and NV = 1 blocks, lands in
+    the NV = 0 block.  Each sqrt weight multiplies twice and the sum
+    starts from +0, as the Kraus form K rho K+ rounds, so the two agree
+    bit for bit, signed zeros included.
     """
     if not 0.0 <= efficiency <= 1.0:
         raise ValueError("pump efficiency must be in [0, 1]")
-    weights = np.sqrt((1.0 - efficiency, efficiency, efficiency))
-    return DensityState(sum(_evolve(state.matrix, w * k) for w, k in zip(weights, PUMP_KRAUS)))
+    keep, reset = np.sqrt(1.0 - efficiency), np.sqrt(efficiency)
+    rho = state.matrix
+    out = keep * (keep * rho) + 0.0
+    out[..., :2, :2] += reset * (reset * rho[..., :2, :2])
+    out[..., :2, :2] += reset * (reset * rho[..., 2:, 2:])
+    return DensityState(out)
 
 
 def driven_decay(mat: np.ndarray, t1rho_s: float, t: float, block: str) -> np.ndarray:
@@ -172,9 +168,11 @@ def driven_decay(mat: np.ndarray, t1rho_s: float, t: float, block: str) -> np.nd
 
     Mixture of the identity (weight exp(-t/T1rho)) with a channel that
     dephases the block against its complement and replaces the block
-    content by its equal-population fixed point.  mat is one (4, 4)
-    matrix of the (NV, Xe) pair or a (..., 4, 4) stack; like `_evolve`,
-    this acts on matrices, and the caller validates the state it builds.
+    content by its equal-population fixed point: the block's rows and
+    columns become 0 and its populations half its trace.  The collapse
+    starts from mat + 0, as the projector form Q mat Q sums onto +0, so
+    the two agree bit for bit, signed zeros included.  mat is one (4, 4)
+    matrix or a (..., 4, 4) stack; the caller validates the state it builds.
     """
     if t1rho_s <= 0:
         raise ValueError("t1rho must be positive")
@@ -184,14 +182,10 @@ def driven_decay(mat: np.ndarray, t1rho_s: float, t: float, block: str) -> np.nd
         raise ValueError(f"unknown exchange block {block!r}")
     f = float(np.exp(-t / t1rho_s))
     i, j = EXCHANGE_BLOCKS[block]
-    dim = mat.shape[-1]
-    p = np.zeros((dim, dim))
-    p[i, i] = p[j, j] = 1.0
-    q = np.eye(dim) - p
-    block_trace = mat[..., i, i] + mat[..., j, j]
-    fixed = np.zeros_like(mat)
-    fixed[..., i, i] = fixed[..., j, j] = block_trace / 2.0
-    collapsed = fixed + q @ mat @ q
+    collapsed = mat + 0.0
+    half_trace = (collapsed[..., i, i] + collapsed[..., j, j]) / 2.0
+    collapsed[..., [i, j], :] = collapsed[..., :, [i, j]] = 0.0
+    collapsed[..., i, i] = collapsed[..., j, j] = half_trace
     return f * mat + (1.0 - f) * collapsed
 
 

@@ -60,7 +60,8 @@ FIG4B_LADDER = np.array([1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.30, 0.20])
 
 # the two-spin amplitude vanishes at alpha0 = 0 and underflows at a large
 # gamma2, and the NV amplitude, the gain's divisor, underflows at a large
-# gamma2 too; each leaves the fig4 gain curves without a solution
+# gamma2 too; each leaves the fig4 gain curves without a solution, and
+# fig3a's signal curve without a signal to fit
 GAIN_AMPLITUDE_KEYS = (
     "decoherence.alpha0_two_spin",
     "decoherence.gamma2_two_spin_hz",
@@ -283,6 +284,12 @@ def run_fig3a(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
     sigma = _noise_sigma(cfg)
     alpha1 = env_nv.amplitude(tau)
     alpha2 = env_two.amplitude(tau) * factor.amplitude_factor
+    with _config_keys(*GAIN_AMPLITUDE_KEYS):
+        if alpha1 == 0.0 or alpha2 == 0.0:
+            raise InfeasibleError(
+                f"signal amplitude 0 at tau = {tau:.3g} s (NV {alpha1:.3g}, two-spin {alpha2:.3g}); "
+                "the curve would be noise alone"
+            )
     clean1 = alpha1 * np.sin(nu1 * b_grid)
     clean2 = alpha2 * np.sin(nu2 * b_grid)
     noisy1 = clean1 + rng.normal(0.0, sigma, len(b_grid))
@@ -437,7 +444,8 @@ def run_fig4c(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[dict, dict
         d_exp_hz=d_exp,
         tau_rr_s=cfg["budget.tau_rr_s"],
     )
-    norr, rr = sweep_gain_map(d_axis, ratio_axis, ladder, **fixed).values
+    with _config_keys("decoherence.gamma2_nv_hz"):
+        norr, rr = sweep_gain_map(d_axis, ratio_axis, ladder, **fixed).values
     exp_ratio = cfg["decoherence.gamma2_x_hz"] / cfg["decoherence.gamma2_nv_hz"]
     i_exp = int(np.argmin(np.abs(ratio_axis - exp_ratio)))
     j_exp = int(np.argmin(np.abs(d_axis - d_exp)))

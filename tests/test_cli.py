@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entangle_sense
+from entangle_sense import spinsys
 from entangle_sense.cli import main
 from entangle_sense.config import PARAMETERS, SCENARIOS, ConfigError, DEFAULTS, resolve, validate
 
@@ -334,6 +335,27 @@ def test_seed0_outputs_match_digest(tmp_path):
     assert _outputs_digest(tmp_path) == SEED0_DIGEST
 
 
+def test_cli_states_are_x_states(tmp_path, monkeypatch):
+    # an X-state has nonzero entries only on the diagonal and the
+    # anti-diagonal; every pumped, gated and damped state on the CLI path
+    # keeps that form, so every other entry must be exactly 0
+    seen = []
+    validate = spinsys.validate_density_matrix
+
+    def recording(mat):
+        seen.extend(mat.reshape(-1, 4, 4))
+        validate(mat)
+
+    monkeypatch.setattr(spinsys, "validate_density_matrix", recording)
+    for seed in ("0", "3"):
+        for scenario in SCENARIOS:
+            assert _run(["run", "--scenario", scenario, "--seed", seed, "--out", str(tmp_path), "--quiet"]) == 0
+    states = np.array(seen)
+    off_x = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+    assert len(states) > 1000
+    assert not states[:, off_x].any()
+
+
 def test_outputs_rewritten_over_a_previous_run_match_digest(tmp_path):
     # outputs are rewritten in place: the seed-7 run on a finer sweep leaves
     # files that differ in length from the seed-0 ones, some of them longer,
@@ -530,6 +552,8 @@ def edge_configs(draw):
 @example(config={"readout": {"amplitude_sum": 2.0805206665210703, "snr_at_m": 3.606548912716371, "m_max": 26}})
 @example(config={"pump": {"efficiency": 0.0}, "calibration": {"initial_x_polarization": 0.0, "one_round_x_polarization": 0.0}})
 @example(config={"decoherence": {"gamma2_nv_hz": 1e9}, "run": {"trajectories": 1, "seed": 282}})
+@example(config={"decoherence": {"gamma2_nv_hz": 5e-324}})
+@example(config={"decoherence": {"gamma2_nv_hz": 1e-200}})
 def test_every_valid_config_runs_or_exits_cleanly(config):
     merged = {"sweep": dict(SMALL_SWEEP)}
     for section, values in config.items():

@@ -74,6 +74,7 @@ INFEASIBLE = {
         "calibration": {"initial_x_polarization": 0.0, "one_round_x_polarization": 0.0},
     },
     "fig2d": {"readout": {"amplitude_sum": 10}},
+    "fig3a": {"decoherence": {"gamma2_nv_hz": 1e9}},
     "fig4a": {"decoherence": {"alpha0_two_spin": 0}},
     "fig4b": {"decoherence": {"gamma2_nv_hz": 1e9}},
     "fig4c": {"readout": {"snr_at_m": 4.0}},

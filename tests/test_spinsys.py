@@ -95,7 +95,7 @@ def test_single_spin_operator_is_built_once_and_read_only(monkeypatch):
     for op in (*SX.values(), *SY.values(), *SZ.values(), P0_NV):
         assert not op.flags.writeable
     monkeypatch.setattr(spinsys, "pair_operator", None)  # a rebuild would raise
-    monkeypatch.setattr(dynamics, "pair_operator", None)
+    monkeypatch.setattr(dynamics, "pair_operator", None, raising=False)
     drive = dynamics.DriveTerm(rabi=2.0e5, phase=0.7)
     h = dynamics.HamiltonianSpec(layout=PAIR, drives={"Xe": drive}, coupling_hz=0.0).assemble()
     sx = np.kron(np.eye(2), np.array([[0.0, 0.5], [0.5, 0.0]]))
@@ -107,7 +107,7 @@ def test_zz_operator_is_built_once_and_read_only(monkeypatch):
     # SZ_SZ is the one coupling operator: assemble reads it and builds none
     assert dynamics.SZ_SZ is SZ_SZ and not SZ_SZ.flags.writeable
     monkeypatch.setattr(spinsys, "pair_operator", None)  # a rebuild would raise
-    monkeypatch.setattr(dynamics, "pair_operator", None)
+    monkeypatch.setattr(dynamics, "pair_operator", None, raising=False)
     h = dynamics.HamiltonianSpec(layout=PAIR, coupling_hz=58.0e3).assemble()
     assert np.array_equal(h, 2.0 * np.pi * (2.0 * 58.0e3) * np.kron(np.diag([0.5, -0.5]), np.diag([0.5, -0.5])))
 
